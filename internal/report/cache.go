@@ -41,6 +41,14 @@ import (
 // kernel failures, a watchdog timeout, cancellation — is returned to
 // the callers that waited on it but never cached, so the cache can only
 // ever serve the full dataset and the next identical query re-sweeps.
+//
+// A retained entry also owns its encoded v1 JSON export. The export is
+// deterministic in the records, so it is rendered at most once per
+// entry, lazily, by the first caller that asks for bytes
+// (Result.JSON); the leader, coalesced joiners and later hits all get
+// that one immutable slice, and a warm entobenchd request is a key
+// derivation, a map lookup and a Write. Callers that never ask for
+// bytes (the CLIs, the table writers) never pay for them.
 
 // Cache observability counters (docs/observability.md): how often a
 // query was answered from a completed entry, how often a sweep actually
@@ -58,18 +66,27 @@ const sweepShards = 8
 
 // DefaultSweepCacheCapacity is the default bound on retained completed
 // sweeps across all shards. Each entry holds one Characterization
-// (records plus cells — tens of kilobytes), so the default keeps a
-// long-running server's result memory in the low megabytes.
+// (records plus cells) and, once served, its encoded v1 JSON export
+// (~117 KiB for the full default query), so at the default even 64
+// full-query entries hold only about 7.3 MiB of report bytes on top of
+// their records.
 const DefaultSweepCacheCapacity = 64
 
 // sweepEntry is one keyed query: in flight until ready is closed, then
 // a completed result. Result fields are written by the leading
 // goroutine before close(ready) and read only after observing the
-// close, so they need no lock.
+// close, so they need no lock. body is the entry's encoded export,
+// written once under encOnce; like the records it is shared by every
+// caller and must be treated as read-only.
 type sweepEntry struct {
 	ready chan struct{}
 	c     Characterization
 	err   error
+	keep  bool // complete and healthy: its encoded export may be shared
+
+	encOnce sync.Once
+	body    []byte
+	encErr  error
 
 	mu      sync.Mutex
 	subs    map[int]func(done, skipped, total int)
@@ -200,13 +217,45 @@ func (c *sweepCache) perShardCap() int {
 // options (context and progress rewired to the shared entry).
 type runFunc func(core.SweepOptions) (Characterization, error)
 
+// Result is one answered query: the characterization plus access to
+// its encoded v1 JSON export. Callers must treat both the records and
+// the bytes as read-only — they are shared with every other caller of
+// the same cache entry.
+type Result struct {
+	Characterization
+	entry *sweepEntry // the retained entry whose bytes are shared; nil for partial or failed runs
+}
+
+// JSON returns the v1 JSON export, byte-identical to WriteJSON. For a
+// complete, healthy run it is encoded at most once per cache entry and
+// the same slice is returned to every caller; partial or failed runs
+// are never retained, so they encode per call through the same
+// encoder.
+func (r Result) JSON() ([]byte, error) {
+	e := r.entry
+	if e == nil {
+		return encodeJSON(r.Characterization)
+	}
+	e.encOnce.Do(func() { e.body, e.encErr = encodeJSON(e.c) })
+	return e.body, e.encErr
+}
+
+// result wraps a completed entry's outcome for one caller.
+func (e *sweepEntry) result() Result {
+	r := Result{Characterization: e.c}
+	if e.keep {
+		r.entry = e
+	}
+	return r
+}
+
 // do serves key from the cache: a completed entry is returned
 // immediately (hit), an in-flight identical query is joined
 // (coalesced), and a missing key starts a run led by a cache-owned
 // goroutine (miss). ctx bounds only this caller's wait — abandoning it
 // drops one subscription, and the run itself is canceled only when no
 // subscriber remains.
-func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions, run runFunc) (Characterization, error) {
+func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions, run runFunc) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -218,7 +267,7 @@ func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions,
 			ctrCacheHit.Inc()
 			sh.promoteLocked(key)
 			sh.mu.Unlock()
-			return e.c, e.err
+			return e.result(), e.err
 		default: // identical query in flight: coalesce onto it
 			ctrCacheCoalesced.Inc()
 			id := e.subscribe(opts.Progress)
@@ -254,10 +303,10 @@ func (c *sweepCache) lead(sh *cacheShard, key string, e *sweepEntry, runCtx cont
 	e.done = true
 	e.mu.Unlock()
 	e.c, e.err = res, err
-	keep := err == nil && !res.Partial()
+	e.keep = err == nil && !res.Partial()
 	sh.mu.Lock()
 	if sh.entries[key] == e { // not invalidated mid-run
-		if keep {
+		if e.keep {
 			sh.keepLocked(key, c.perShardCap())
 		} else {
 			delete(sh.entries, key)
@@ -274,11 +323,11 @@ func (c *sweepCache) lead(sh *cacheShard, key string, e *sweepEntry, runCtx cont
 // result instead of discarding it: the sweep returns promptly once its
 // context ends, carrying every cell completed before the cutoff, which
 // is what lets a deadline_ms request still render a partial report.
-func waitEntry(ctx context.Context, e *sweepEntry, id int) (Characterization, error) {
+func waitEntry(ctx context.Context, e *sweepEntry, id int) (Result, error) {
 	select {
 	case <-e.ready:
 		e.unsubscribe(id)
-		return e.c, e.err
+		return e.result(), e.err
 	case <-ctx.Done():
 		if e.unsubscribe(id) {
 			// Bounded: a healthy sweep returns within one job's tail of
@@ -287,11 +336,11 @@ func waitEntry(ctx context.Context, e *sweepEntry, id int) (Characterization, er
 			// wedging this caller alongside the stuck worker.
 			select {
 			case <-e.ready:
-				return e.c, e.err
+				return e.result(), e.err
 			case <-time.After(cancelCollectGrace):
 			}
 		}
-		return Characterization{}, ctx.Err()
+		return Result{}, ctx.Err()
 	}
 }
 
@@ -299,9 +348,10 @@ func waitEntry(ctx context.Context, e *sweepEntry, id int) (Characterization, er
 // for its canceled run to land a partial result in waitEntry.
 const cancelCollectGrace = 2 * time.Second
 
-// invalidate empties every shard. In-flight entries are detached — the
-// callers waiting on them still get their results, but the results are
-// not retained.
+// invalidate empties every shard, dropping every retained entry's
+// encoded bytes with it. In-flight entries are detached — the callers
+// waiting on them still get their results, but the results are not
+// retained.
 func (c *sweepCache) invalidate() {
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -325,38 +375,75 @@ func SetSweepCacheCapacity(n int) {
 	globalSweepCache.capMu.Unlock()
 }
 
-// RunSweepQuery returns the characterization of the given kernel set
-// on the given boards through the keyed cache: served from a completed
-// entry when an identical query already ran, coalesced onto an
-// identical in-flight run, or computed fresh. Options shape only a
-// cache-filling run (the worker count never changes the result); a
+// Query is one characterization query — kernel set, board selection
+// and measurement backend — with its cache key (SweepKey) derived once,
+// at construction. entobenchd builds one per request and hands the
+// same value to the admission presence check and the cached run.
+type Query struct {
+	specs   []core.Spec
+	archs   []mcu.Arch
+	backend harness.Backend
+	key     string
+}
+
+// NewQuery builds a query and derives its key. The backend is part of
+// the query identity: a trace-backed sweep and the classic sweep of the
+// same grid must never share an entry. The classic path (nil or
+// canonical simulator) contributes nothing, preserving every pre-seam
+// key.
+func NewQuery(specs []core.Spec, archs []mcu.Arch, backend harness.Backend) Query {
+	return Query{
+		specs:   specs,
+		archs:   archs,
+		backend: backend,
+		key:     SweepKey(specs, archs, harness.DefaultConfig(), harness.BackendSalt(backend)),
+	}
+}
+
+// Key returns the query's sweep-cache key.
+func (q Query) Key() string { return q.key }
+
+// Present reports whether the keyed cache already holds an entry —
+// completed or in flight — for the query. The server's admission
+// controller uses it to let warm and coalescible requests through for
+// free: only queries that would start a fresh sweep consume admission
+// capacity.
+func (q Query) Present() bool {
+	sh := globalSweepCache.shard(q.key)
+	sh.mu.Lock()
+	_, ok := sh.entries[q.key]
+	sh.mu.Unlock()
+	return ok
+}
+
+// Run returns the query's characterization through the keyed cache:
+// served from a completed entry when an identical query already ran,
+// coalesced onto an identical in-flight run, or computed fresh. The
+// query's backend replaces opts.Backend; the other options shape only
+// a cache-filling run (the worker count never changes the result). A
 // caller's Progress hook is honored for in-flight runs it leads or
-// joins, and not invoked on a pure cache hit. Callers must treat the
-// shared records as read-only.
-func RunSweepQuery(specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
-	// The backend is part of the query identity: a trace-backed sweep
-	// and the classic sweep of the same grid must never share an entry.
-	// The classic path (nil or canonical simulator) contributes nothing,
-	// preserving every pre-seam key.
-	key := SweepKey(specs, archs, harness.DefaultConfig(), harness.BackendSalt(opts.Backend))
-	return globalSweepCache.do(opts.Context, key, opts, func(ropts core.SweepOptions) (Characterization, error) {
-		recs, err := core.CharacterizeSuiteOpts(specs, archs, ropts)
+// joins, and not invoked on a pure cache hit.
+func (q Query) Run(opts core.SweepOptions) (Result, error) {
+	opts.Backend = q.backend
+	return globalSweepCache.do(opts.Context, q.key, opts, func(ropts core.SweepOptions) (Characterization, error) {
+		recs, err := core.CharacterizeSuiteOpts(q.specs, q.archs, ropts)
 		return Characterization{Records: recs}, err
 	})
 }
 
-// SweepQueryPresent reports whether the keyed cache already holds an
-// entry — completed or in flight — for the given query. The server's
-// admission controller uses it to let warm and coalescible requests
-// through for free: only queries that would start a fresh sweep consume
-// admission capacity.
+// RunSweepQuery is NewQuery(specs, archs, opts.Backend).Run(opts) for
+// callers that need only the records (the characterization wrappers
+// below and perfbench). Callers must treat the shared records as
+// read-only.
+func RunSweepQuery(specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
+	r, err := NewQuery(specs, archs, opts.Backend).Run(opts)
+	return r.Characterization, err
+}
+
+// SweepQueryPresent is NewQuery(specs, archs, be).Present(), kept for
+// perfbench's warm-path probes.
 func SweepQueryPresent(specs []core.Spec, archs []mcu.Arch, be harness.Backend) bool {
-	key := SweepKey(specs, archs, harness.DefaultConfig(), harness.BackendSalt(be))
-	sh := globalSweepCache.shard(key)
-	sh.mu.Lock()
-	_, ok := sh.entries[key]
-	sh.mu.Unlock()
-	return ok
+	return NewQuery(specs, archs, be).Present()
 }
 
 // RunCharacterization returns the full Table III/IV suite sweep,

@@ -1,9 +1,11 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mcu"
@@ -276,6 +278,21 @@ func (c Characterization) JSONExport() JSONReport {
 // count and re-marshaling a parsed report reproduces them exactly.
 func (c Characterization) WriteJSON(w io.Writer) error {
 	return WriteJSONReport(w, c.JSONExport())
+}
+
+// jsonEncodes counts encodeJSON calls, so tests can prove a cache
+// entry's export is rendered once however many callers share it.
+var jsonEncodes atomic.Int64
+
+// encodeJSON renders the export into a fresh slice — the one encoder
+// behind every served report (see Result.JSON).
+func encodeJSON(c Characterization) ([]byte, error) {
+	jsonEncodes.Add(1)
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // WriteJSONReport renders an already-built report — the single encoder

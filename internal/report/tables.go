@@ -25,9 +25,10 @@ type Characterization struct {
 // proxy run.
 func (c Characterization) Datapoints() int {
 	n := 0
-	for _, r := range c.Records {
-		for _, cell := range r.Cells {
-			if cell.Status == core.CellOK {
+	for i := range c.Records { // by index: records and cells are large, and this runs per served request
+		r := &c.Records[i]
+		for j := range r.Cells {
+			if r.Cells[j].Status == core.CellOK {
 				n += 3 // latency, energy, peak power per cell
 			}
 		}
@@ -42,12 +43,13 @@ func (c Characterization) Datapoints() int {
 // skipped — i.e. whether the dataset is incomplete and the JSON export
 // will carry a failures block.
 func (c Characterization) Partial() bool {
-	for _, r := range c.Records {
+	for i := range c.Records { // by index, as in Datapoints
+		r := &c.Records[i]
 		if r.StaticStatus != core.CellOK {
 			return true
 		}
-		for _, cell := range r.Cells {
-			if cell.Status != core.CellOK {
+		for j := range r.Cells {
+			if r.Cells[j].Status != core.CellOK {
 				return true
 			}
 		}

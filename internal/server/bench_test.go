@@ -115,3 +115,34 @@ func BenchmarkAdmissionUncontended(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServeWarm prices one warm POST /v1/sweep through the
+// in-process handler: decode, key derivation, admission probe, cache
+// hit and the write of the entry's already-encoded report. "full" is
+// the default query (~117 KiB of report), "small" one kernel on one
+// board. Its allocs budget in BENCH_server_baseline.json sits far below
+// what re-encoding the report per request would cost.
+func BenchmarkServeWarm(b *testing.B) {
+	for _, c := range []struct{ name, body string }{
+		{"full", `{}`},
+		{"small", `{"kernels":["madgwick"],"archs":"M4"}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			report.InvalidateCharacterization()
+			h := server.New(server.Options{Workers: 4}).Handler()
+			serve := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(c.body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+				}
+			}
+			serve() // warm the cache entry and its encoded bytes
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -132,7 +131,7 @@ type job struct {
 	nextSub int
 
 	doneCh      chan struct{} // closed on completion (done, failed, or shed)
-	body        []byte        // rendered v1 JSON report (StateDone)
+	body        []byte        // v1 JSON report (StateDone); aliases the sweep-cache entry's bytes, read-only
 	errMsg      string        // failure message (StateFailed / StateShed)
 	partial     bool
 	datapoints  int
@@ -264,9 +263,11 @@ type jobTable struct {
 }
 
 // DefaultMaxFinishedJobs is the default bound on completed job handles
-// the table keeps (entobenchd -maxjobs). The handles hold rendered
-// reports, so this bound (together with the sweep cache capacity) is
-// what keeps a long-running server's memory flat.
+// the table keeps (entobenchd -maxjobs). A healthy handle shares its
+// cache entry's report bytes (keeping them alive past eviction); only
+// partial reports are private copies. This bound, together with the
+// sweep cache capacity, is what keeps a long-running server's memory
+// flat.
 const DefaultMaxFinishedJobs = 128
 
 func (t *jobTable) init(maxFinished int) {
@@ -418,14 +419,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline := s.sweepDeadline(req)
 	weight := sweepWeight(specs, archs)
-	// Admission-exempt when the cache already holds the query (warm hit
-	// or coalescing join): serving it is nearly free, shedding it would
-	// discard paid-for work. The check is advisory — an entry evicted
-	// between check and run just makes this one unadmitted miss.
-	free := report.SweepQueryPresent(specs, archs, opts.Backend)
+	// One key per request: the query derives it once, for both the
+	// admission probe and the cached run. Admission-exempt when the
+	// cache already holds the query (warm hit or coalescing join):
+	// serving it is nearly free, shedding it would discard paid-for
+	// work. The check is advisory — an entry evicted between check and
+	// run just makes this one unadmitted miss.
+	q := report.NewQuery(specs, archs, opts.Backend)
+	free := q.Present()
 
 	if req.Async {
-		s.handleSweepAsync(w, specs, archs, opts, deadline, weight, free)
+		s.handleSweepAsync(w, q, opts, deadline, weight, free)
 		return
 	}
 	if !free && !s.adm.tryAcquire(weight) {
@@ -445,7 +449,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 	}
 	start := time.Now()
-	s.runJob(ctx, j, specs, archs, opts)
+	s.runJob(ctx, j, q, opts)
 	cancel()
 	if !free {
 		s.adm.release(weight, time.Since(start))
@@ -473,7 +477,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // dispatched they run on a background context (bounded only by the
 // resolved deadline) and complete whether or not the submitter sticks
 // around to watch.
-func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions, deadline time.Duration, weight int, free bool) {
+func (s *Server) handleSweepAsync(w http.ResponseWriter, q report.Query, opts core.SweepOptions, deadline time.Duration, weight int, free bool) {
 	j := s.jobs.create(StateQueued)
 	startJob := func() {
 		j.setState(StateRunning)
@@ -483,7 +487,7 @@ func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, arch
 			ctx, cancel = context.WithTimeout(ctx, deadline)
 		}
 		start := time.Now()
-		s.runJob(ctx, j, specs, archs, opts)
+		s.runJob(ctx, j, q, opts)
 		cancel()
 		if !free {
 			s.adm.release(weight, time.Since(start))
@@ -499,7 +503,7 @@ func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, arch
 		writeJSON(w, http.StatusAccepted, accepted)
 		return
 	}
-	q := &queuedSweep{
+	qs := &queuedSweep{
 		weight: weight,
 		start:  startJob,
 		shed: func() {
@@ -509,7 +513,7 @@ func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, arch
 			s.logf("sweep %s: shed (evicted from admission queue)", j.id)
 		},
 	}
-	if !s.adm.submitAsync(q) {
+	if !s.adm.submitAsync(qs) {
 		// No queue configured and no capacity: refuse outright. The job
 		// id was never disclosed, so drop the handle entirely.
 		s.jobs.drop(j.id)
@@ -522,16 +526,18 @@ func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, arch
 }
 
 // runJob executes one job through the keyed sweep cache and publishes
-// its outcome. A partial sweep — contained kernel failures, watchdog
-// timeouts — still renders: the report carries the failures block and
+// its outcome. The job's body is the cache entry's encoded report —
+// rendered once per entry, not per request. A partial sweep —
+// contained kernel failures, watchdog timeouts — still renders (per
+// request, never retained): the report carries the failures block and
 // the job completes as done (HTTP 200), because a characterization
 // with explicit gaps is a result, not a server error.
-func (s *Server) runJob(ctx context.Context, j *job, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) {
+func (s *Server) runJob(ctx context.Context, j *job, q report.Query, opts core.SweepOptions) {
 	opts.Context = ctx
 	opts.Progress = j.update
 	start := time.Now()
-	c, err := report.RunSweepQuery(specs, archs, opts)
-	if err != nil && len(c.Records) == 0 {
+	res, err := q.Run(opts)
+	if err != nil && len(res.Records) == 0 {
 		// The sweep's own error wraps the run context's cancellation
 		// (context.Canceled when this request's departure canceled it),
 		// so the request context is what tells a deadline death apart
@@ -546,15 +552,16 @@ func (s *Server) runJob(ctx context.Context, j *job, specs []core.Spec, archs []
 		s.jobs.retire(j.id)
 		return
 	}
-	var buf bytes.Buffer
-	if werr := c.WriteJSON(&buf); werr != nil {
+	body, werr := res.JSON()
+	if werr != nil {
 		j.finish(nil, 0, false, werr.Error())
 		s.jobs.retire(j.id)
 		return
 	}
+	datapoints, partial := res.Datapoints(), res.Partial()
 	s.logf("sweep %s: %d datapoints in %v (partial=%v)",
-		j.id, c.Datapoints(), time.Since(start).Round(time.Millisecond), c.Partial())
-	j.finish(buf.Bytes(), c.Datapoints(), c.Partial(), "")
+		j.id, datapoints, time.Since(start).Round(time.Millisecond), partial)
+	j.finish(body, datapoints, partial, "")
 	s.jobs.retire(j.id)
 }
 

@@ -14,11 +14,11 @@
 // The server is a thin shell over the same machinery the CLIs use: a
 // sweep request resolves through the registries (internal/mcu,
 // internal/core), runs through the keyed sharded cache
-// (report.RunSweepQuery) — so identical in-flight queries coalesce via
+// (report.Query.Run) — so identical in-flight queries coalesce via
 // singleflight and repeated queries are served from memory — and
-// renders through the deterministic v1 JSON encoder, which is what
-// makes a served sweep byte-identical to `entobench sweep -json` for
-// the same query. Per-request contexts ride the sweep engine's
+// answers with the cache entry's export, rendered once by the
+// deterministic v1 JSON encoder, which is what makes a served sweep
+// byte-identical to `entobench sweep -json` for the same query. Per-request contexts ride the sweep engine's
 // cancellation plumbing: a disconnected client drops its cache
 // subscription, and only when the last client of a run is gone does
 // the run itself cancel — one bad or abandoned query can never take
