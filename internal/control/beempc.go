@@ -53,9 +53,9 @@ func NewBeeMPC[T scalar.Real[T]](like T, a, b, q, r [][]float64, cfg BeeMPCConfi
 		qC: q, rC: r,
 		maxIter: cfg.MaxIter,
 	}
-	if k, p, err := solveDARE(a, b, q, r); err == nil {
-		out.pT = p.Floats()
-		out.kinf = k.Floats()
+	if k, p, err := dare(a, b, q, r); err == nil {
+		out.pT = p
+		out.kinf = k
 	} else {
 		out.pT = q
 	}

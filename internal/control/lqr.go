@@ -7,7 +7,11 @@
 package control
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/mat"
 	"repro/internal/scalar"
@@ -26,8 +30,10 @@ type LQR[T scalar.Real[T]] struct {
 }
 
 // solveDARE iterates the discrete algebraic Riccati equation to a fixed
-// point in float64 and returns the gain K and cost-to-go P∞.
+// point in float64 and returns the gain K and cost-to-go P∞. It always
+// solves; callers go through dare, which memoizes.
 func solveDARE(a, b, q, r [][]float64) (k, p mat.Mat[scalar.F64], err error) {
+	dareSolves.Add(1)
 	type F = scalar.F64
 	fa := mat.FromFloats(F(0), a)
 	fb := mat.FromFloats(F(0), b)
@@ -55,16 +61,98 @@ func solveDARE(a, b, q, r [][]float64) (k, p mat.Mat[scalar.F64], err error) {
 	return k, p, nil
 }
 
+// The DARE is solved offline, in Setup, from model matrices that are
+// the same for every construction in practice (fly-lqr and bee-mpc both
+// build on FlyModel(ctrlDt), for the static proxy and the prepare
+// alike). dare memoizes solutions per process, like the dataset
+// masters: a sync.Map keyed by the exact float64 bits of (a, b, q, r)
+// plus the mat reference-kernel mode, so a reference-mode run still
+// executes the hooked DARE once and the fast≡reference oracle keeps
+// exercising it. Each key's entry solves under a sync.Once, so
+// concurrent first callers (two sweep lanes constructing fly-lqr and
+// bee-mpc) share one solve. Callers get fresh copies of K and P, made
+// without mat's profiler hooks.
+
+// dareMemo maps dareKey to *dareEntry.
+var dareMemo sync.Map
+
+// dareSolves counts real (uncached) DARE solves, so tests can prove
+// the memo.
+var dareSolves atomic.Int64
+
+type dareKey struct {
+	ref  bool   // mat.ReferenceKernels() at solve time
+	bits string // shapes and float64 bits of a, b, q, r
+}
+
+type dareEntry struct {
+	once     sync.Once
+	k, p     [][]float64
+	err      error
+	panicVal any // a recovered solve panic, re-raised to every caller
+}
+
+// newDAREKey encodes the exact inputs of one solve: every matrix's row
+// count, each row's length, and each entry's float64 bits.
+func newDAREKey(ms ...[][]float64) dareKey {
+	var buf []byte
+	for _, m := range ms {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m)))
+		for _, row := range m {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(row)))
+			for _, v := range row {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+		}
+	}
+	return dareKey{ref: mat.ReferenceKernels(), bits: string(buf)}
+}
+
+// dare returns the memoized DARE gain K and cost-to-go P∞ for (a, b, q,
+// r) as fresh row slices the caller may keep or mutate.
+func dare(a, b, q, r [][]float64) (k, p [][]float64, err error) {
+	key := newDAREKey(a, b, q, r)
+	v, ok := dareMemo.Load(key)
+	if !ok {
+		v, _ = dareMemo.LoadOrStore(key, new(dareEntry))
+	}
+	e := v.(*dareEntry)
+	e.once.Do(func() {
+		defer func() { e.panicVal = recover() }()
+		km, pm, err := solveDARE(a, b, q, r)
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.k, e.p = km.Floats(), pm.Floats()
+	})
+	if e.panicVal != nil {
+		panic(e.panicVal)
+	}
+	if e.err != nil {
+		return nil, nil, e.err
+	}
+	return copyRows(e.k), copyRows(e.p), nil
+}
+
+func copyRows(m [][]float64) [][]float64 {
+	out := make([][]float64, len(m))
+	for i, row := range m {
+		out[i] = append([]float64(nil), row...)
+	}
+	return out
+}
+
 // NewLQR solves the discrete algebraic Riccati equation by fixed-point
 // iteration (offline, float64) and returns the regulator with gains in
 // like's scalar format.
 func NewLQR[T scalar.Real[T]](like T, a, b, q, r [][]float64) (*LQR[T], error) {
-	k, _, err := solveDARE(a, b, q, r)
+	k, _, err := dare(a, b, q, r)
 	if err != nil {
 		return nil, err
 	}
 	out := &LQR[T]{
-		K: mat.FromFloats(like, k.Floats()),
+		K: mat.FromFloats(like, k),
 		A: mat.FromFloats(like, a),
 		B: mat.FromFloats(like, b),
 	}

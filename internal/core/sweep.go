@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,9 +31,19 @@ import (
 // per spec (kernelPrep), and every (arch, cache) cell derives its
 // measurement from the shared counts with pure arithmetic
 // (harness.Prepared.MeasureOn). Counts and validity are
-// arch-independent, so batching changes no assembled byte; the job
-// graph, progress accounting, spans, and per-cell fault containment are
-// exactly those of the unbatched engine.
+// arch-independent, so batching changes no assembled byte.
+//
+// Dispatch is work-conserving: the pool receives one unit per kernel's
+// static job and one unit per kernel's contiguous run of (arch, cache)
+// cells. The lane that takes a cell unit runs the shared prepare once
+// and then measures every cell of that kernel in serial order, so no
+// lane ever parks waiting for a sibling's prepare (MeasureOn costs a
+// few microseconds; serializing a kernel's cells costs nothing). Within
+// a unit every job is still handled individually: the serial job index
+// that sharding keys on, the cell-cache load and store, the watchdog
+// and panic containment, commit, progress, spans, and counters are all
+// per job, exactly as in a per-job dispatch. With one worker the
+// execution order is the serial job order.
 //
 // Failure model (DESIGN.md §12): a cell that panics, errors, or trips
 // the watchdog costs exactly its own slot. Panics are recovered with
@@ -57,12 +68,14 @@ import (
 // job emits an obs span — sweep.static or sweep.cell — on its worker's
 // lane with the kernel/arch/cache identity and its queue wait (time
 // between sweep start, when all jobs are ready, and job pickup); the
-// whole call emits one sweep span on lane 0. Tracing off costs one
-// atomic load per job. SweepOptions.Progress, when set, is invoked
-// after every finished or skipped job; the failure-mode counters
-// sweep.cells_failed, sweep.panics_recovered, and sweep.cells_timed_out
-// are always on. docs/observability.md is the reference for the span
-// and counter vocabulary.
+// lane that runs a kernel's shared prepare emits a sweep.prepare span
+// nested in the cell span that triggered it; the whole call emits one
+// sweep span on lane 0. Tracing off costs one atomic load per job.
+// SweepOptions.Progress, when set, is invoked after every finished or
+// skipped job; the failure-mode counters sweep.cells_failed,
+// sweep.panics_recovered, and sweep.cells_timed_out are always on.
+// docs/observability.md is the reference for the span and counter
+// vocabulary.
 
 // Sweep failure-mode counters (docs/observability.md).
 var (
@@ -175,16 +188,18 @@ const jobStatic = -1
 // are arch-independent — see the reference-cell comment in commit — so
 // sharing changes no assembled byte.
 //
-// The first cell job of a kernel to reach get pays for the prepare;
-// concurrent same-kernel cells block in the Once until it lands.
-// Fault containment is preserved per cell: a panic or error inside the
-// shared prepare is captured here and re-surfaced to every cell job
-// that asks, so each affected cell is classified, counted, and reported
-// individually, exactly as when every cell ran the kernel itself. Under
-// a watchdog (SweepOptions.CellTimeout) a hung prepare strands its
-// waiters in the Once; each waiter's own watchdog abandons it
-// individually, and a late-finishing prepare only ever publishes
-// through this struct — never into sweep state directly.
+// All cells of a kernel run on the one lane that took the kernel's cell
+// unit, so the first computed cell pays for the prepare and the rest
+// find it done: the Once is contended only when a watchdog
+// (SweepOptions.CellTimeout) abandons a hung prepare, whose still-
+// running child then holds the Once while the kernel's later cells wait
+// in it, each until its own watchdog abandons it. A late-finishing
+// prepare only ever publishes through this struct — never into sweep
+// state directly. Fault containment is preserved per cell: a panic or
+// error inside the shared prepare is captured here and re-surfaced to
+// every cell job that asks, so each affected cell is classified,
+// counted, and reported individually, exactly as when every cell ran
+// the kernel itself.
 type kernelPrep struct {
 	once sync.Once
 	ref  mcu.Arch // first fitting arch: the reference cell's core
@@ -194,7 +209,9 @@ type kernelPrep struct {
 
 // get returns the kernel's shared prepared state, computing it on the
 // first call. A recovered panic is stored as a PanicError so every
-// sharing cell sees the same failure.
+// sharing cell sees the same failure. A positive lane means a trace is
+// active: the computing call then records a sweep.prepare span on that
+// lane.
 //
 // When a cell cache is in play the prepare is rehydrated from the
 // kernel's cached reference cell when one exists: the prepared state is
@@ -202,11 +219,18 @@ type kernelPrep struct {
 // MeasureOn is a pure function of them — so an incremental sweep (one
 // new board against a warm cache) measures the new cells without
 // executing the kernel at all, byte-identically.
-func (kp *kernelPrep) get(ctx context.Context, spec Spec, cc CellCache, be harness.Backend) (*harness.Prepared, error) {
+func (kp *kernelPrep) get(ctx context.Context, spec Spec, cc CellCache, be harness.Backend, lane int) (*harness.Prepared, error) {
 	kp.once.Do(func() {
+		var start time.Time
+		if lane > 0 {
+			start = time.Now()
+		}
 		defer func() {
 			if r := recover(); r != nil {
 				kp.err = &PanicError{Value: r, Stack: debug.Stack()}
+			}
+			if lane > 0 {
+				recordPrepareSpan(spec.Name, kp, start, lane)
 			}
 		}()
 		if cc != nil {
@@ -232,7 +256,12 @@ func (kp *kernelPrep) get(ctx context.Context, spec Spec, cc CellCache, be harne
 	return kp.pp, kp.err
 }
 
-// job is one unit of sweep work: either the static-proxy run of a
+// unit is one dispatch unit of the worker pool: the contiguous serial
+// job indices [lo, hi) of either one kernel's static job or all of one
+// kernel's (arch, cache) cells.
+type unit struct{ lo, hi int }
+
+// job is one piece of sweep work: either the static-proxy run of a
 // kernel (cell == jobStatic) or one (arch, cache) measurement cell.
 type job struct {
 	spec  int // index into the records slice
@@ -414,10 +443,12 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 	records := make([]Record, len(specs))
 	preps := make([]kernelPrep, len(specs))
 	var jobs []job
+	var units []unit
 	for i, spec := range specs {
 		records[i] = Record{Spec: spec}
 		jobs = append(jobs, job{spec: i, cell: jobStatic})
-		n := 0
+		units = append(units, unit{lo: len(jobs) - 1, hi: len(jobs)})
+		lo, n := len(jobs), 0
 		for _, arch := range archs {
 			if !spec.Fits(arch) {
 				continue
@@ -430,6 +461,9 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 				n++
 			}
 		}
+		if n > 0 {
+			units = append(units, unit{lo: lo, hi: len(jobs)})
+		}
 		records[i].Cells = make([]ArchRun, n)
 	}
 
@@ -437,8 +471,8 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(units) {
+		workers = len(units)
 	}
 
 	var failed atomic.Bool
@@ -449,76 +483,88 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 			opts.Progress(int(done.Load()), int(skipped.Load()), total)
 		}
 	}
-	idx := make(chan int)
+	// runJob handles serial job j on the given worker lane: shard
+	// ownership, skip decisions, cache load, execution, cache store,
+	// commit, accounting, and progress.
+	runJob := func(j, lane int) {
+		if !opts.ownsJob(j) {
+			// A foreign shard's job: skipped with no error, so this
+			// shard's bundle carries exactly its own cells and a healthy
+			// shard run exits clean.
+			commitSkip(records, &jobs[j], nil)
+			skipped.Add(1)
+			progress()
+			return
+		}
+		if (opts.FailFast && failed.Load()) || ctx.Err() != nil {
+			commitSkip(records, &jobs[j], ctx.Err())
+			skipped.Add(1)
+			progress()
+			return
+		}
+		spec := records[jobs[j].spec].Spec
+		var cb cellBackend
+		if jobs[j].cell != jobStatic {
+			cb = resolveCellBackend(opts.Backend, spec.Name, jobs[j].arch.Name, jobs[j].cache)
+		}
+		if opts.CellCache != nil {
+			if res, hit := loadCachedJob(opts.CellCache, spec, &jobs[j], cb); hit {
+				commit(records, &jobs[j], res, CellOK, nil)
+				ctrCellsCached.Inc()
+				done.Add(1)
+				progress()
+				return
+			}
+		}
+		traced := obs.TraceEnabled()
+		spanLane := 0
+		if traced {
+			spanLane = lane
+		}
+		start := time.Now()
+		res, status, err := executeJob(ctx, spec, &jobs[j], &preps[jobs[j].spec], opts.CellTimeout, opts.CellCache, opts.Backend, spanLane)
+		if traced {
+			recordJobSpan(&jobs[j], records, start, sweepStart, lane, status)
+		}
+		if status != CellSkipped {
+			ctrCellsComputed.Inc()
+		}
+		if status == CellOK && opts.CellCache != nil {
+			storeCachedJob(opts.CellCache, spec, &jobs[j], cb, res)
+		}
+		commit(records, &jobs[j], res, status, err)
+		if status == CellSkipped {
+			// Canceled mid-job: the result (if any ever comes) is
+			// discarded; account it with the other skips.
+			skipped.Add(1)
+			progress()
+			return
+		}
+		if err != nil {
+			jobs[j].err = cellError(spec, &jobs[j], status, err)
+			ctrCellsFailed.Inc()
+			failed.Store(true)
+		}
+		done.Add(1)
+		progress()
+	}
+	next := make(chan unit)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
-			for j := range idx {
-				if !opts.ownsJob(j) {
-					// A foreign shard's job: skipped with no error, so
-					// this shard's bundle carries exactly its own cells
-					// and a healthy shard run exits clean.
-					commitSkip(records, &jobs[j], nil)
-					skipped.Add(1)
-					progress()
-					continue
+			for u := range next {
+				for j := u.lo; j < u.hi; j++ {
+					runJob(j, lane)
 				}
-				if (opts.FailFast && failed.Load()) || ctx.Err() != nil {
-					commitSkip(records, &jobs[j], ctx.Err())
-					skipped.Add(1)
-					progress()
-					continue
-				}
-				spec := records[jobs[j].spec].Spec
-				var cb cellBackend
-				if jobs[j].cell != jobStatic {
-					cb = resolveCellBackend(opts.Backend, spec.Name, jobs[j].arch.Name, jobs[j].cache)
-				}
-				if opts.CellCache != nil {
-					if res, hit := loadCachedJob(opts.CellCache, spec, &jobs[j], cb); hit {
-						commit(records, &jobs[j], res, CellOK, nil)
-						ctrCellsCached.Inc()
-						done.Add(1)
-						progress()
-						continue
-					}
-				}
-				traced := obs.TraceEnabled()
-				start := time.Now()
-				res, status, err := executeJob(ctx, spec, &jobs[j], &preps[jobs[j].spec], opts.CellTimeout, opts.CellCache, opts.Backend)
-				if traced {
-					recordJobSpan(&jobs[j], records, start, sweepStart, lane, status)
-				}
-				if status != CellSkipped {
-					ctrCellsComputed.Inc()
-				}
-				if status == CellOK && opts.CellCache != nil {
-					storeCachedJob(opts.CellCache, spec, &jobs[j], cb, res)
-				}
-				commit(records, &jobs[j], res, status, err)
-				if status == CellSkipped {
-					// Canceled mid-job: the result (if any ever comes)
-					// is discarded; account it with the other skips.
-					skipped.Add(1)
-					progress()
-					continue
-				}
-				if err != nil {
-					jobs[j].err = cellError(spec, &jobs[j], status, err)
-					ctrCellsFailed.Inc()
-					failed.Store(true)
-				}
-				done.Add(1)
-				progress()
 			}
 		}(w + 1)
 	}
-	for j := range jobs {
-		idx <- j
+	for _, u := range units {
+		next <- u
 	}
-	close(idx)
+	close(next)
 	wg.Wait()
 	if obs.TraceEnabled() {
 		obs.RecordSpan(obs.SpanSweep, sweepStart, time.Now(), 0,
@@ -586,10 +632,11 @@ type jobResult struct {
 // a watchdog: the computation moves to a child goroutine and the worker
 // waits for its result, the deadline, or cancellation — whichever is
 // first. The returned status classifies the outcome; err is nil exactly
-// when status is CellOK.
-func executeJob(ctx context.Context, spec Spec, j *job, prep *kernelPrep, timeout time.Duration, cc CellCache, be harness.Backend) (jobResult, CellStatus, error) {
+// when status is CellOK. A positive lane is the traced worker lane the
+// shared prepare's span belongs to (0: tracing off).
+func executeJob(ctx context.Context, spec Spec, j *job, prep *kernelPrep, timeout time.Duration, cc CellCache, be harness.Backend, lane int) (jobResult, CellStatus, error) {
 	if timeout <= 0 {
-		res, err := computeJob(ctx, spec, j, prep, cc, be)
+		res, err := computeJob(ctx, spec, j, prep, cc, be, lane)
 		return classify(ctx, res, err)
 	}
 	type outcome struct {
@@ -601,7 +648,7 @@ func executeJob(ctx context.Context, spec Spec, j *job, prep *kernelPrep, timeou
 	// channel, and its late result is garbage-collected with it.
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := computeJob(ctx, spec, j, prep, cc, be)
+		res, err := computeJob(ctx, spec, j, prep, cc, be, lane)
 		ch <- outcome{res, err}
 	}()
 	timer := time.NewTimer(timeout)
@@ -648,7 +695,7 @@ func isPanic(err error) bool {
 // (or inside the shared prepare) and converted into a PanicError
 // carrying the captured stack. Cell jobs share one kernel execution
 // through prep and only run the arch-specific modeling themselves.
-func computeJob(ctx context.Context, spec Spec, j *job, prep *kernelPrep, cc CellCache, be harness.Backend) (res jobResult, err error) {
+func computeJob(ctx context.Context, spec Spec, j *job, prep *kernelPrep, cc CellCache, be harness.Backend, lane int) (res jobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
@@ -667,7 +714,7 @@ func computeJob(ctx context.Context, spec Spec, j *job, prep *kernelPrep, cc Cel
 		res.flash = mcu.FlashBytes(res.static)
 		return res, nil
 	}
-	pp, err := prep.get(ctx, spec, cc, be)
+	pp, err := prep.get(ctx, spec, cc, be, lane)
 	if err != nil {
 		return res, fmt.Errorf("core: run %s on %s: %w", spec.Name, j.arch.Name, err)
 	}
@@ -800,4 +847,19 @@ func recordJobSpan(j *job, records []Record, start, sweepStart time.Time, lane i
 		name = obs.SpanSweepStatic
 	}
 	obs.RecordSpan(name, start, end, lane, args...)
+}
+
+// recordPrepareSpan emits the sweep.prepare span of one kernel's shared
+// prepare on the lane that ran it: the kernel, the reference core the
+// validation schedule follows, and the host reps executed (0 when the
+// prepare was rehydrated from the cell cache or failed).
+func recordPrepareSpan(kernel string, kp *kernelPrep, start time.Time, lane int) {
+	reps := 0
+	if kp.pp != nil {
+		reps = kp.pp.HostReps()
+	}
+	obs.RecordSpan(obs.SpanSweepPrepare, start, time.Now(), lane,
+		obs.Arg{Key: "kernel", Val: kernel},
+		obs.Arg{Key: "ref_arch", Val: kp.ref.Name},
+		obs.Arg{Key: "host_reps", Val: strconv.Itoa(reps)})
 }

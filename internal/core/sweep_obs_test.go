@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -55,6 +56,7 @@ func TestSweepProgressAndSpans(t *testing.T) {
 	}
 
 	counts := map[string]int{}
+	var refCell, prepare obs.Span
 	for _, s := range tr.Spans {
 		counts[s.Name]++
 		args := map[string]string{}
@@ -75,6 +77,17 @@ func TestSweepProgressAndSpans(t *testing.T) {
 			if s.TID < 1 || s.TID > 2 {
 				t.Errorf("cell on lane %d, want a worker lane 1..2", s.TID)
 			}
+			if args["arch"] == mcu.TableIVSet()[0].Name && args["cache"] == "on" {
+				refCell = s
+			}
+		case obs.SpanSweepPrepare:
+			prepare = s
+			if args["kernel"] != "madgwick" || args["ref_arch"] != mcu.TableIVSet()[0].Name {
+				t.Errorf("prepare args = %v", args)
+			}
+			if n, err := strconv.Atoi(args["host_reps"]); err != nil || n < 1 {
+				t.Errorf("prepare host_reps = %q, want a positive count", args["host_reps"])
+			}
 		case obs.SpanSweepStatic:
 			if args["kernel"] != "madgwick" || args["queue_wait_us"] == "" {
 				t.Errorf("static args incomplete: %v", args)
@@ -88,8 +101,14 @@ func TestSweepProgressAndSpans(t *testing.T) {
 			}
 		}
 	}
-	if counts[obs.SpanSweep] != 1 || counts[obs.SpanSweepStatic] != 1 || counts[obs.SpanSweepCell] != 6 {
-		t.Fatalf("span counts = %v, want 1 sweep, 1 static, 6 cells", counts)
+	if counts[obs.SpanSweep] != 1 || counts[obs.SpanSweepStatic] != 1 || counts[obs.SpanSweepCell] != 6 ||
+		counts[obs.SpanSweepPrepare] != 1 {
+		t.Fatalf("span counts = %v, want 1 sweep, 1 static, 6 cells, 1 prepare", counts)
+	}
+	// The shared prepare nests in the reference cell's span, on its lane.
+	if prepare.TID != refCell.TID || prepare.StartNS < refCell.StartNS ||
+		prepare.StartNS+prepare.DurNS > refCell.StartNS+refCell.DurNS {
+		t.Fatalf("prepare span %+v not nested in the reference cell span %+v", prepare, refCell)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/harness"
 	"repro/internal/mcu"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -160,6 +161,57 @@ func TestFaultInjectWatchdogTimeout(t *testing.T) {
 	}
 	if n := obs.Counters()[obs.CounterSweepCellsTimedOut]; n != 3 {
 		t.Fatalf("timed-out counter = %d, want 3", n)
+	}
+}
+
+// TestFaultInjectPrepareParksNoSiblingLane: dispatch is work-conserving.
+// Kernel A's prepare Setup blocks until every other job of the sweep —
+// kernel B's static job and all of B's cells included — has finished.
+// With two workers the lane running A's prepare must be the only lane
+// waiting on it: a dispatch that hands A's second cell to the other
+// lane parks that lane in A's shared prepare, both lanes wedge, and the
+// gate's timeout fails A's cells.
+func TestFaultInjectPrepareParksNoSiblingLane(t *testing.T) {
+	gate := make(chan struct{})
+	var open sync.Once
+	gated := core.Spec{
+		Name: "fi-gated", Stage: core.Control, Category: "FaultInject", Dataset: "synthetic", Prec: mcu.PrecF32,
+		Factory: func() harness.Problem {
+			return faultinject.New("fi-gated", faultinject.Hooks{Setup: func() error {
+				select {
+				case <-gate:
+					return nil
+				case <-time.After(10 * time.Second):
+					return errors.New("gate never opened: a lane parked behind the prepare")
+				}
+			}})
+		},
+		// The static proxy builds an ungated instance: only the
+		// prepare waits.
+		StaticFactory: func() harness.Problem { return faultinject.New("fi-gated", faultinject.Hooks{}) },
+	}
+	specs := []core.Spec{gated, faultinject.GoodSpec("fi-free")}
+	const gatedCells = 2 // M4, cache on and off
+	recs, err := core.CharacterizeSuiteOpts(specs, m4(), core.SweepOptions{
+		Workers: 2,
+		Progress: func(done, skipped, total int) {
+			// A's cells cannot finish before the gate opens, so this
+			// count is reached exactly when everything else is done.
+			if done >= total-gatedCells {
+				open.Do(func() { close(gate) })
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("sweep failed: %v", err)
+	}
+	for i, cell := range recs[0].Cells {
+		if cell.Status != core.CellOK {
+			t.Fatalf("gated kernel cell %d = %v: %v", i, cell.Status, cell.Err)
+		}
+	}
+	if !recs[1].Valid || len(recs[1].Cells) != 2 {
+		t.Fatalf("free kernel record damaged: valid=%v cells=%d", recs[1].Valid, len(recs[1].Cells))
 	}
 }
 

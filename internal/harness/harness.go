@@ -154,10 +154,11 @@ func RunContext(ctx context.Context, p Problem, arch mcu.Arch, prec mcu.Precisio
 // The characterization sweep builds on exactly this split to run each
 // kernel's problem once instead of once per cell.
 type Prepared struct {
-	name   string
-	counts profile.Counts
-	valid  bool
-	validE error
+	name     string
+	counts   profile.Counts
+	valid    bool
+	validE   error
+	hostReps int
 }
 
 // Prepare is PrepareContext without cancellation.
@@ -206,7 +207,8 @@ func PrepareContext(ctx context.Context, p Problem, refArch mcu.Arch, prec mcu.P
 		}
 		p.Solve()
 	}
-	ctrHostReps.Add(uint64(1 + extra)) // the profiled rep + validation reps
+	pp.hostReps = 1 + extra // the profiled rep + validation reps
+	ctrHostReps.Add(uint64(pp.hostReps))
 
 	if err := p.Validate(); err != nil {
 		pp.valid = false
@@ -232,6 +234,11 @@ func RehydratePrepared(name string, counts profile.Counts, valid bool, validE er
 
 // Counts returns the per-rep operation mix of the profiled Solve.
 func (pp *Prepared) Counts() profile.Counts { return pp.counts }
+
+// HostReps returns the Solve invocations the prepare executed inside
+// ROIs (the profiled rep plus validation reps); 0 for a rehydrated
+// Prepared, which executed none.
+func (pp *Prepared) HostReps() int { return pp.hostReps }
 
 // Valid returns the validation verdict taken after the validation reps.
 func (pp *Prepared) Valid() (bool, error) { return pp.valid, pp.validE }

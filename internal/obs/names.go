@@ -14,6 +14,10 @@ const (
 	SpanSweepStatic = "sweep.static"
 	// SpanSweepCell is one (kernel, arch, cache) measurement cell.
 	SpanSweepCell = "sweep.cell"
+	// SpanSweepPrepare is one kernel's shared prepare (problem build,
+	// warm-up, profiled Solve, validation reps), nested in the
+	// sweep.cell span that triggered it.
+	SpanSweepPrepare = "sweep.prepare"
 )
 
 // Counter names.
@@ -92,7 +96,7 @@ const (
 )
 
 // AllSpans is every span name the repo can emit, in docs order.
-var AllSpans = []string{SpanSweep, SpanSweepStatic, SpanSweepCell}
+var AllSpans = []string{SpanSweep, SpanSweepStatic, SpanSweepCell, SpanSweepPrepare}
 
 // AllCounters is every counter name the repo can register, in docs
 // order.

@@ -275,13 +275,16 @@ func TestCS4Shapes(t *testing.T) {
 }
 
 // The parallel engine must be invisible in the output: the rendered
-// tables are byte-identical for serial and parallel sweeps across
-// worker counts (the issue's -j 1/2/8 matrix).
+// tables and the JSON export are byte-identical for serial and parallel
+// sweeps across worker counts (-j 1/2/8).
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	render := func(c report.Characterization) string {
 		var buf bytes.Buffer
 		c.WriteTable3(&buf)
 		c.WriteTable4(&buf)
+		if err := c.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
 		return buf.String()
 	}
 	base, err := report.RunCharacterizationUncached(1)
