@@ -390,8 +390,16 @@ func BenchmarkProfileHookOverhead(b *testing.B) {
 }
 
 // BenchmarkRunCharacterization times the full >400-datapoint suite
-// sweep — the repo's hottest path — serially and across the worker
-// pool, so the parallel speedup stays visible in the bench trajectory.
+// sweep — the repo's hottest path, uncached — serially and across the
+// worker pool, so the parallel speedup stays visible in the bench
+// trajectory.
+// uncachedSweep runs the full-suite Table IV sweep, bypassing the keyed
+// sweep cache.
+func uncachedSweep(opts core.SweepOptions) (report.Characterization, error) {
+	recs, err := core.CharacterizeSuiteOpts(core.Suite(), mcu.TableIVSet(), opts)
+	return report.Characterization{Records: recs}, err
+}
+
 func BenchmarkRunCharacterization(b *testing.B) {
 	for _, cfg := range []struct {
 		name    string
@@ -404,7 +412,7 @@ func BenchmarkRunCharacterization(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c, err := report.RunCharacterizationUncached(cfg.workers)
+				c, err := uncachedSweep(core.SweepOptions{Workers: cfg.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -429,12 +437,12 @@ func BenchmarkSweepWarm(b *testing.B) {
 	}
 	opts := core.SweepOptions{Workers: 1, CellCache: cache}
 	// One cold sweep fills the store; the measured loop is all hits.
-	if _, err := report.RunCharacterizationUncachedOpts(opts); err != nil {
+	if _, err := uncachedSweep(opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := report.RunCharacterizationUncachedOpts(opts)
+		c, err := uncachedSweep(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -50,19 +50,20 @@ func TestResolveSweepArchs(t *testing.T) {
 	}
 }
 
+// TestLoadBoardFilesList: the -boards list loader (mcu.LoadFiles).
 func TestLoadBoardFilesList(t *testing.T) {
 	// Empty list: nothing to do.
-	if archs, err := loadBoardFiles(""); err != nil || archs != nil {
-		t.Fatalf("loadBoardFiles(\"\") = %v, %v", archs, err)
+	if archs, err := mcu.LoadFiles(""); err != nil || archs != nil {
+		t.Fatalf("mcu.LoadFiles(\"\") = %v, %v", archs, err)
 	}
 	// Re-loading the same file collides on the board name — the registry
 	// is process-global, so the second load reports the duplicate.
 	if _, ok := mcu.ByName("M85"); !ok {
-		if _, err := loadBoardFiles(exampleBoardFile); err != nil {
+		if _, err := mcu.LoadFiles(exampleBoardFile); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := loadBoardFiles(exampleBoardFile)
+	_, err := mcu.LoadFiles(exampleBoardFile)
 	if err == nil || !strings.Contains(err.Error(), "already registered") {
 		t.Errorf("re-loading a board file: err = %v, want a name collision", err)
 	}

@@ -149,3 +149,23 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatal("datapoint count missing")
 	}
 }
+
+// TestSweepNilArchsIsTableIV: nil archs selects the Table IV set, so
+// both spellings are one query and share one sweep-cache entry.
+func TestSweepNilArchsIsTableIV(t *testing.T) {
+	a, err := ento.Sweep(nil, ento.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tableIV, err := ento.ArchSet("tableiv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ento.Sweep(tableIV, ento.SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Records) == 0 || &a.Records[0] != &b.Records[0] {
+		t.Fatal("Sweep(nil) and Sweep(Table IV) did not share one cached sweep")
+	}
+}

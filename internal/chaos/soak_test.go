@@ -211,7 +211,7 @@ func TestFlakyBackendContainment(t *testing.T) {
 	}
 
 	flaky := &chaos.FlakyBackend{Inner: harness.SimBackend{}, EveryN: 2}
-	c, err := report.RunSweepQuery(specs, []mcu.Arch{arch}, core.SweepOptions{Backend: flaky})
+	c, err := report.NewQuery(specs, []mcu.Arch{arch}, flaky).Run(core.SweepOptions{})
 	if err == nil {
 		t.Fatal("sweep over a flaky backend reported no cell failures")
 	}

@@ -124,7 +124,7 @@ func TestDARESolvedOncePerModeAcrossSweep(t *testing.T) {
 		mat.SetReferenceKernels(ref)
 		control.ResetDAREMemo()
 		n0 := control.DARESolves()
-		if _, err := core.CharacterizeSuite(core.Suite(), mcu.TableIVSet(), 2); err != nil {
+		if _, err := core.CharacterizeSuiteOpts(core.Suite(), mcu.TableIVSet(), core.SweepOptions{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		if got := control.DARESolves() - n0; got != 1 {

@@ -145,9 +145,9 @@ type Record struct {
 
 // Characterize measures a kernel across the given cores with caches on
 // and off — one row of Tables III and IV. It is the single-kernel,
-// single-worker form of CharacterizeSuite.
+// single-worker form of CharacterizeSuiteOpts.
 func Characterize(spec Spec, archs []mcu.Arch) (Record, error) {
-	recs, err := CharacterizeSuite([]Spec{spec}, archs, 1)
+	recs, err := CharacterizeSuiteOpts([]Spec{spec}, archs, SweepOptions{Workers: 1})
 	return recs[0], err
 }
 

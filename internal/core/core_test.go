@@ -140,12 +140,12 @@ func TestCharacterizeSuiteDeterministicAcrossWorkers(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
-	base, err := core.CharacterizeSuite(specs, mcu.TableIVSet(), 1)
+	base, err := core.CharacterizeSuiteOpts(specs, mcu.TableIVSet(), core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := core.CharacterizeSuite(specs, mcu.TableIVSet(), workers)
+		got, err := core.CharacterizeSuiteOpts(specs, mcu.TableIVSet(), core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

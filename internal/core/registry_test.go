@@ -132,7 +132,7 @@ func TestSweepOverCustomBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg, _ := mcu.ByName("sweepbig")
-	recs, err := core.CharacterizeSuite(core.Suite(), []mcu.Arch{reg}, 1)
+	recs, err := core.CharacterizeSuiteOpts(core.Suite(), []mcu.Arch{reg}, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,6 +143,37 @@ func BackendNames() []string {
 	return out
 }
 
+// ResolveBackend turns a CLI -backend/-tracefile pair into a sweep's
+// measurement backend. Names match case-insensitively, ignoring
+// surrounding spaces. No flags, or "sim", is the classic simulator path
+// (nil, byte-identical to pre-backend sweeps); a trace file loads its
+// captures into a trace backend, with -backend empty or "trace"; any
+// other name resolves through the registry.
+func ResolveBackend(name, traceFile string) (Backend, error) {
+	name = strings.ToLower(strings.TrimSpace(name))
+	if traceFile != "" {
+		if name != "" && name != "trace" {
+			return nil, fmt.Errorf("-tracefile feeds the trace backend and cannot combine with -backend %s", name)
+		}
+		tb, err := LoadTraceBackend(traceFile)
+		if err != nil {
+			return nil, err
+		}
+		return tb, nil
+	}
+	switch name {
+	case "", "sim":
+		return nil, nil
+	case "trace":
+		return nil, fmt.Errorf("-backend trace needs -tracefile FILE (the captures to replay)")
+	}
+	be, ok := BackendByName(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown backend %q (registered: %s)", name, strings.Join(BackendNames(), ", "))
+	}
+	return be, nil
+}
+
 // BackendSalt is the cache-key contribution of a backend selection: the
 // empty string for the classic path (nil, or the canonical simulator),
 // otherwise the backend name plus its data fingerprint. Modeled and

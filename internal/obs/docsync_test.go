@@ -17,8 +17,8 @@ import (
 )
 
 // TestObservabilityDocMatchesCode pins docs/observability.md to the
-// code, in both directions: every span and counter the doc tables name
-// must exist in obs (names.go), every name in names.go must be
+// code, in both directions: every span, counter and gauge the doc
+// tables name must exist in obs (names.go), every name in names.go must be
 // documented, and every canonical counter must actually be registered
 // by its owning package.
 func TestObservabilityDocMatchesCode(t *testing.T) {
@@ -28,12 +28,16 @@ func TestObservabilityDocMatchesCode(t *testing.T) {
 	}
 	docSpans := tableNames(t, string(data), "## Spans")
 	docCounters := tableNames(t, string(data), "## Counters")
+	docGauges := tableNames(t, string(data), "## Gauges")
 
 	if got, want := sorted(docSpans), sorted(obs.AllSpans); !equal(got, want) {
 		t.Errorf("doc spans %v != code spans %v", got, want)
 	}
 	if got, want := sorted(docCounters), sorted(obs.AllCounters); !equal(got, want) {
 		t.Errorf("doc counters %v != code counters %v", got, want)
+	}
+	if got, want := sorted(docGauges), sorted(obs.AllGauges); !equal(got, want) {
+		t.Errorf("doc gauges %v != code gauges %v", got, want)
 	}
 
 	registered := map[string]bool{}

@@ -7,8 +7,9 @@ package obs
 
 // Span names emitted by the sweep engine.
 const (
-	// SpanSweep covers one whole CharacterizeSuite call, coordinator
-	// goroutine (tid 0), from job construction to record assembly.
+	// SpanSweep covers one whole core.CharacterizeSuiteOpts call,
+	// coordinator goroutine (tid 0), from job construction to record
+	// assembly.
 	SpanSweep = "sweep"
 	// SpanSweepStatic is one per-kernel static-proxy job.
 	SpanSweepStatic = "sweep.static"
@@ -23,7 +24,7 @@ const (
 // Counter names.
 const (
 	// CounterSweepCacheHit counts queries served from a completed entry
-	// of the keyed sweep cache (report.RunCharacterization and friends,
+	// of the keyed sweep cache (report.Query.Run: ento.Sweep, the CLIs,
 	// and every entobenchd sweep request).
 	CounterSweepCacheHit = "sweep.cache.hit"
 	// CounterSweepCacheMiss counts cache-filling sweep runs — queries
@@ -47,11 +48,6 @@ const (
 	// 429 and queued async jobs evicted to make room (answered 503 on
 	// poll). Every shed carries Retry-After (docs/server.md).
 	CounterServerShedTotal = "server.shed_total"
-	// CounterServerQueueDepth is gauge-valued: the current number of
-	// admitted-but-waiting async sweep jobs in the bounded admission
-	// queue (incremented on enqueue, decremented on dispatch or
-	// eviction). Exported as a Prometheus gauge.
-	CounterServerQueueDepth = "server.queue_depth"
 	// CounterProfileSessions counts goroutine-scoped profiling sessions
 	// created (profile.ensureSession).
 	CounterProfileSessions = "profile.sessions.created"
@@ -119,8 +115,19 @@ var AllCounters = []string{
 	CounterServerRequests,
 	CounterServerSSEClients,
 	CounterServerShedTotal,
-	CounterServerQueueDepth,
 }
+
+// Gauge names. A gauge is a current level, not a running total: it is
+// read from its owner at scrape time, never accumulated in a Counter.
+const (
+	// GaugeServerQueueDepth is the number of admitted-but-waiting async
+	// sweep jobs in one entobenchd Server's bounded admission queue,
+	// read from that server when /metrics is scraped.
+	GaugeServerQueueDepth = "server.queue_depth"
+)
+
+// AllGauges is every gauge name the repo can export, in docs order.
+var AllGauges = []string{GaugeServerQueueDepth}
 
 func knownCounterName(name string) bool {
 	for _, n := range AllCounters {

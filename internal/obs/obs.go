@@ -61,11 +61,6 @@ func (c *Counter) Name() string { return c.name }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Dec subtracts one. It exists for the few gauge-valued counters
-// (queue depths) whose current level, not cumulative total, is the
-// observable; monotone counters must never call it.
-func (c *Counter) Dec() { c.v.Add(^uint64(0)) }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 

@@ -128,12 +128,12 @@ func TestCustomBoardSweepDeterminism(t *testing.T) {
 	archs := append(mcu.TableIVSet(), reg)
 
 	render := func(workers int) []byte {
-		c, err := report.RunCharacterizationForArchs(archs, core.SweepOptions{Workers: workers})
+		r, err := report.NewQuery(core.Suite(), archs, nil).Run(core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := c.WriteJSON(&buf); err != nil {
+		if err := r.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"container/list"
 	"context"
 	"sync"
 	"time"
@@ -11,24 +12,24 @@ import (
 	"repro/internal/obs"
 )
 
-// Keyed, sharded characterization cache. The suite sweep is the most
-// expensive computation in the repo and its result is deterministic in
-// its inputs, so every consumer — the table writers, the ento wrappers,
-// the CLIs, and every entobenchd HTTP client — shares one cache keyed
-// by a content digest of the query (SweepKey: kernel set × board
-// models × harness config). Identical queries coalesce: the first
-// caller leads the run, concurrent identical callers subscribe to the
-// same in-flight entry (singleflight) and share its progress stream,
-// and later identical callers are served the completed result without
-// re-sweeping.
+// Keyed characterization cache. The suite sweep is the most expensive
+// computation in the repo and its result is deterministic in its
+// inputs, so every consumer — the table writers, ento.Sweep, the CLIs,
+// and every entobenchd HTTP client — shares one cache keyed by a
+// content digest of the query (SweepKey: kernel set × board models ×
+// harness config × backend salt), reached through Query. Identical
+// queries coalesce: the first caller leads the run, concurrent
+// identical callers subscribe to the same in-flight entry
+// (singleflight) and share its progress stream, and later identical
+// callers are served the completed result without re-sweeping.
 //
-// Replacing the old single process-global memo, the cache is sharded
-// (key-hashed shards, each with its own lock) so a server handling
-// many distinct queries never serializes them on one mutex, and
-// bounded: completed entries beyond the capacity (SetSweepCacheCapacity)
-// are evicted oldest-hit-first, so a long-running entobenchd holds a
-// predictable amount of result memory however many distinct queries it
-// has answered.
+// The cache is one mutex, one map and one LRU order. It is bounded
+// exactly: at most SetSweepCacheCapacity completed entries are
+// retained, and the least-recently-hit one is evicted first, so a
+// long-running entobenchd holds a predictable amount of result memory
+// however many distinct queries it has answered. Every critical
+// section is a map lookup or a list splice; the sweeps themselves run
+// outside the lock.
 //
 // Cancellation is reference-counted per entry: every caller joined to a
 // run holds a subscription, a caller whose context ends merely drops
@@ -61,25 +62,23 @@ var (
 	ctrCacheEvicted   = obs.NewCounter(obs.CounterSweepCacheEvicted)
 )
 
-// sweepShards is the shard count; keys spread by their digest bytes.
-const sweepShards = 8
-
 // DefaultSweepCacheCapacity is the default bound on retained completed
-// sweeps across all shards. Each entry holds one Characterization
-// (records plus cells) and, once served, its encoded v1 JSON export
-// (~117 KiB for the full default query), so at the default even 64
-// full-query entries hold only about 7.3 MiB of report bytes on top of
-// their records.
+// sweeps. Each entry holds one Characterization (records plus cells)
+// and, once served, its encoded v1 JSON export (~117 KiB for the full
+// default query), so at the default even 64 full-query entries hold
+// only about 7.3 MiB of report bytes on top of their records.
 const DefaultSweepCacheCapacity = 64
 
 // sweepEntry is one keyed query: in flight until ready is closed, then
 // a completed result. Result fields are written by the leading
-// goroutine before close(ready) and read only after observing the
-// close, so they need no lock. body is the entry's encoded export,
+// goroutine before it retains the entry and closes ready, and read only
+// after observing either (a hit sees elem under the cache lock), so
+// they need no lock of their own. body is the entry's encoded export,
 // written once under encOnce; like the records it is shared by every
 // caller and must be treated as read-only.
 type sweepEntry struct {
 	ready chan struct{}
+	elem  *list.Element // LRU position once retained, nil while in flight; guarded by sweepCache.mu
 	c     Characterization
 	err   error
 	keep  bool // complete and healthy: its encoded export may be shared
@@ -144,78 +143,29 @@ func (e *sweepEntry) broadcast(done, skipped, total int) {
 	}
 }
 
-// cacheShard is one lock domain of the sweep cache. order lists the
-// completed (retained) keys oldest-hit-first for eviction; in-flight
-// entries live in the map but not in order.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*sweepEntry
-	order   []string
-}
-
-// promoteLocked moves a hit key to the back of the eviction order.
-func (sh *cacheShard) promoteLocked(key string) {
-	for i, k := range sh.order {
-		if k == key {
-			sh.order = append(append(sh.order[:i:i], sh.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-// keepLocked retains a completed entry and evicts the oldest retained
-// keys beyond the shard's share of the capacity.
-func (sh *cacheShard) keepLocked(key string, perShard int) {
-	sh.order = append(sh.order, key)
-	for len(sh.order) > perShard {
-		victim := sh.order[0]
-		sh.order = sh.order[1:]
-		delete(sh.entries, victim)
-		ctrCacheEvicted.Inc()
-	}
-}
-
-// sweepCache is the process-wide sharded cache.
+// sweepCache is the process-wide cache. lru lists the retained
+// (completed, healthy) keys most-recently-hit first; in-flight entries
+// live in the map but not in lru.
 type sweepCache struct {
-	shards [sweepShards]cacheShard
-
-	capMu    sync.Mutex
+	mu       sync.Mutex
+	entries  map[string]*sweepEntry
+	lru      list.List
 	capacity int
 }
 
-var globalSweepCache = newSweepCache()
-
-func newSweepCache() *sweepCache {
-	c := &sweepCache{capacity: DefaultSweepCacheCapacity}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*sweepEntry)
-	}
-	return c
+var globalSweepCache = &sweepCache{
+	entries:  make(map[string]*sweepEntry),
+	capacity: DefaultSweepCacheCapacity,
 }
 
-// shard maps a key to its shard by the digest's tail byte (keys are
-// hex SHA-256 strings, so any byte is uniformly distributed).
-func (c *sweepCache) shard(key string) *cacheShard {
-	if len(key) == 0 {
-		return &c.shards[0]
+// trimLocked evicts least-recently-hit entries until at most capacity
+// remain retained.
+func (c *sweepCache) trimLocked() {
+	for c.lru.Len() > c.capacity {
+		delete(c.entries, c.lru.Remove(c.lru.Back()).(string))
+		ctrCacheEvicted.Inc()
 	}
-	return &c.shards[int(key[len(key)-1])%sweepShards]
 }
-
-// perShardCap returns each shard's share of the configured capacity.
-func (c *sweepCache) perShardCap() int {
-	c.capMu.Lock()
-	defer c.capMu.Unlock()
-	per := (c.capacity + sweepShards - 1) / sweepShards
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// runFunc computes one characterization; the cache supplies the
-// options (context and progress rewired to the shared entry).
-type runFunc func(core.SweepOptions) (Characterization, error)
 
 // Result is one answered query: the characterization plus access to
 // its encoded v1 JSON export. Callers must treat both the records and
@@ -249,31 +199,31 @@ func (e *sweepEntry) result() Result {
 	return r
 }
 
-// do serves key from the cache: a completed entry is returned
+// do serves q from the cache: a completed entry is returned
 // immediately (hit), an in-flight identical query is joined
 // (coalesced), and a missing key starts a run led by a cache-owned
-// goroutine (miss). ctx bounds only this caller's wait — abandoning it
-// drops one subscription, and the run itself is canceled only when no
-// subscriber remains.
-func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions, run runFunc) (Result, error) {
+// goroutine (miss). opts.Context bounds only this caller's wait —
+// abandoning it drops one subscription, and the run itself is canceled
+// only when no subscriber remains.
+func (c *sweepCache) do(q Query, opts core.SweepOptions) (Result, error) {
+	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		select {
-		case <-e.ready: // completed, retained: a pure cache hit
+	key := q.key
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		if e.elem != nil { // completed, retained: a pure cache hit
 			ctrCacheHit.Inc()
-			sh.promoteLocked(key)
-			sh.mu.Unlock()
+			c.lru.MoveToFront(e.elem)
+			c.mu.Unlock()
 			return e.result(), e.err
-		default: // identical query in flight: coalesce onto it
-			ctrCacheCoalesced.Inc()
-			id := e.subscribe(opts.Progress)
-			sh.mu.Unlock()
-			return waitEntry(ctx, e, id)
 		}
+		// Identical query in flight: coalesce onto it.
+		ctrCacheCoalesced.Inc()
+		id := e.subscribe(opts.Progress)
+		c.mu.Unlock()
+		return waitEntry(ctx, e, id)
 	}
 	ctrCacheMiss.Inc()
 	runCtx, cancel := context.WithCancel(context.Background())
@@ -283,9 +233,9 @@ func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions,
 		cancel: cancel,
 	}
 	id := e.subscribe(opts.Progress) // before the leader starts: the run must not outlive zero subscribers
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	go c.lead(sh, key, e, runCtx, opts, run)
+	c.entries[key] = e
+	c.mu.Unlock()
+	go c.lead(q, e, runCtx, opts)
 	return waitEntry(ctx, e, id)
 }
 
@@ -294,25 +244,25 @@ func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions,
 // or failed runs are dropped from the map so the next identical query
 // re-sweeps. The caller's own cancellation context is ignored here —
 // the run obeys runCtx, which ends when the last subscriber leaves.
-func (c *sweepCache) lead(sh *cacheShard, key string, e *sweepEntry, runCtx context.Context, opts core.SweepOptions, run runFunc) {
-	ropts := opts
-	ropts.Context = runCtx
-	ropts.Progress = e.broadcast
-	res, err := run(ropts)
+func (c *sweepCache) lead(q Query, e *sweepEntry, runCtx context.Context, opts core.SweepOptions) {
+	opts.Context = runCtx
+	opts.Progress = e.broadcast
+	recs, err := core.CharacterizeSuiteOpts(q.specs, q.archs, opts)
 	e.mu.Lock()
 	e.done = true
 	e.mu.Unlock()
-	e.c, e.err = res, err
-	e.keep = err == nil && !res.Partial()
-	sh.mu.Lock()
-	if sh.entries[key] == e { // not invalidated mid-run
+	e.c, e.err = Characterization{Records: recs}, err
+	e.keep = err == nil && !e.c.Partial()
+	c.mu.Lock()
+	if c.entries[q.key] == e { // not invalidated mid-run
 		if e.keep {
-			sh.keepLocked(key, c.perShardCap())
+			e.elem = c.lru.PushFront(q.key)
+			c.trimLocked()
 		} else {
-			delete(sh.entries, key)
+			delete(c.entries, q.key)
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	close(e.ready)
 	e.cancel() // release the context; the run has already returned
 }
@@ -348,31 +298,27 @@ func waitEntry(ctx context.Context, e *sweepEntry, id int) (Result, error) {
 // for its canceled run to land a partial result in waitEntry.
 const cancelCollectGrace = 2 * time.Second
 
-// invalidate empties every shard, dropping every retained entry's
+// invalidate empties the cache, dropping every retained entry's
 // encoded bytes with it. In-flight entries are detached — the callers
 // waiting on them still get their results, but the results are not
 // retained.
 func (c *sweepCache) invalidate() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.entries = make(map[string]*sweepEntry)
-		sh.order = nil
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.entries = make(map[string]*sweepEntry)
+	c.lru.Init()
+	c.mu.Unlock()
 }
 
 // SetSweepCacheCapacity bounds how many completed sweeps the keyed
-// cache retains across all shards (minimum one per shard). Lowering it
-// takes effect as new results are retained; it never interrupts
-// in-flight runs. entobenchd exposes this as -cachecap.
+// cache retains (minimum one). Lowering it evicts least-recently-hit
+// entries at once; it never interrupts in-flight runs. entobenchd
+// exposes this as -cachecap.
 func SetSweepCacheCapacity(n int) {
-	globalSweepCache.capMu.Lock()
-	if n < 1 {
-		n = 1
-	}
-	globalSweepCache.capacity = n
-	globalSweepCache.capMu.Unlock()
+	c := globalSweepCache
+	c.mu.Lock()
+	c.capacity = max(n, 1)
+	c.trimLocked()
+	c.mu.Unlock()
 }
 
 // Query is one characterization query — kernel set, board selection
@@ -409,10 +355,10 @@ func (q Query) Key() string { return q.key }
 // free: only queries that would start a fresh sweep consume admission
 // capacity.
 func (q Query) Present() bool {
-	sh := globalSweepCache.shard(q.key)
-	sh.mu.Lock()
-	_, ok := sh.entries[q.key]
-	sh.mu.Unlock()
+	c := globalSweepCache
+	c.mu.Lock()
+	_, ok := c.entries[q.key]
+	c.mu.Unlock()
 	return ok
 }
 
@@ -425,76 +371,28 @@ func (q Query) Present() bool {
 // joins, and not invoked on a pure cache hit.
 func (q Query) Run(opts core.SweepOptions) (Result, error) {
 	opts.Backend = q.backend
-	return globalSweepCache.do(opts.Context, q.key, opts, func(ropts core.SweepOptions) (Characterization, error) {
-		recs, err := core.CharacterizeSuiteOpts(q.specs, q.archs, ropts)
-		return Characterization{Records: recs}, err
-	})
+	return globalSweepCache.do(q, opts)
 }
 
-// RunSweepQuery is NewQuery(specs, archs, opts.Backend).Run(opts) for
-// callers that need only the records (the characterization wrappers
-// below and perfbench). Callers must treat the shared records as
-// read-only.
+// RunSweepQuery is NewQuery(specs, archs, opts.Backend).Run(opts)
+// returning only the records, and RunCharacterizationOpts is it over the
+// full suite and the Table IV set. Both are kept for perfbench; new
+// callers use Query (or ento.Sweep) directly. Callers must treat the
+// shared records as read-only.
 func RunSweepQuery(specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
 	r, err := NewQuery(specs, archs, opts.Backend).Run(opts)
 	return r.Characterization, err
+}
+
+// RunCharacterizationOpts: see RunSweepQuery.
+func RunCharacterizationOpts(opts core.SweepOptions) (Characterization, error) {
+	return RunSweepQuery(core.Suite(), mcu.TableIVSet(), opts)
 }
 
 // SweepQueryPresent is NewQuery(specs, archs, be).Present(), kept for
 // perfbench's warm-path probes.
 func SweepQueryPresent(specs []core.Spec, archs []mcu.Arch, be harness.Backend) bool {
 	return NewQuery(specs, archs, be).Present()
-}
-
-// RunCharacterization returns the full Table III/IV suite sweep,
-// computing it at most once per identical suite/board state with the
-// default worker count (GOMAXPROCS).
-func RunCharacterization() (Characterization, error) {
-	return RunCharacterizationWorkers(0)
-}
-
-// RunCharacterizationWorkers is RunCharacterization with an explicit
-// worker-pool size for a cache-filling run; workers <= 0 means
-// GOMAXPROCS. The worker count never changes the result (see
-// core.CharacterizeSuite), so later callers share the cached sweep
-// regardless of the count they ask for.
-func RunCharacterizationWorkers(workers int) (Characterization, error) {
-	return RunCharacterizationOpts(core.SweepOptions{Workers: workers})
-}
-
-// RunCharacterizationOpts is the cached default-board sweep with full
-// options. Options only shape a cache-filling run: a cache hit returns
-// the shared result without invoking opts.Progress.
-//
-// Only complete, healthy sweeps are retained. A partial run — contained
-// kernel failures, a watchdog timeout, cancellation — is returned to
-// its caller but never cached, so the cache can only ever serve the
-// full dataset and the next identical query retries from scratch.
-func RunCharacterizationOpts(opts core.SweepOptions) (Characterization, error) {
-	return RunSweepQuery(core.Suite(), mcu.TableIVSet(), opts)
-}
-
-// RunCharacterizationForArchs sweeps the whole suite over an explicit
-// board selection — user boards, a named set, any mix — through the
-// same keyed cache (the selection is part of the key, so distinct
-// selections never collide and identical ones share one run). Output
-// is deterministic for any worker count, like every sweep.
-func RunCharacterizationForArchs(archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
-	return RunSweepQuery(core.Suite(), archs, opts)
-}
-
-// RunCharacterizationUncached always recomputes the sweep, bypassing
-// and leaving untouched the keyed cache. Benchmarks and determinism
-// tests use it; everything else should go through RunCharacterization.
-func RunCharacterizationUncached(workers int) (Characterization, error) {
-	return RunCharacterizationUncachedOpts(core.SweepOptions{Workers: workers})
-}
-
-// RunCharacterizationUncachedOpts is RunCharacterizationUncached with
-// full sweep options.
-func RunCharacterizationUncachedOpts(opts core.SweepOptions) (Characterization, error) {
-	recs, err := core.CharacterizeSuiteOpts(core.Suite(), mcu.TableIVSet(), opts)
-	return Characterization{Records: recs}, err
 }
 
 // InvalidateCharacterization empties the keyed sweep cache so the next

@@ -232,7 +232,7 @@ func appendSchema(b []byte) []byte {
 }
 
 // defaultSweepKey keys the canonical full-suite Table IV sweep — the
-// query RunCharacterization serves and the entobenchd default.
+// query ento.Sweep(nil, ...) serves and the entobenchd default.
 func defaultSweepKey() string {
 	return SweepKey(core.Suite(), mcu.TableIVSet(), harness.DefaultConfig(), "")
 }

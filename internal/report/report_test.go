@@ -20,7 +20,7 @@ func TestTable5Renders(t *testing.T) {
 }
 
 func TestCharacterizationSweep(t *testing.T) {
-	c, err := report.RunCharacterization()
+	c, err := cachedSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,13 +287,13 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return buf.String()
 	}
-	base, err := report.RunCharacterizationUncached(1)
+	base, err := uncachedSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := render(base)
 	for _, workers := range []int{2, 8} {
-		c, err := report.RunCharacterizationUncached(workers)
+		c, err := uncachedSweep(workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,14 +306,14 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// One process pays for one sweep: repeated RunCharacterization calls
+// One process pays for one sweep: repeated identical queries
 // must share the memoized records until explicitly invalidated.
 func TestSweepCacheMemoizes(t *testing.T) {
-	a, err := report.RunCharacterization()
+	a, err := cachedSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := report.RunCharacterizationWorkers(4)
+	b, err := cachedSweep(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestSweepCacheMemoizes(t *testing.T) {
 		t.Fatal("second call did not reuse the cached sweep records")
 	}
 	report.InvalidateCharacterization()
-	c, err := report.RunCharacterization()
+	c, err := cachedSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}

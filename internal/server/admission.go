@@ -24,12 +24,9 @@ import (
 // queue overflows. Both sheds carry Retry-After and a machine-readable
 // error body, and both count on server.shed_total.
 
-// Admission counters (docs/observability.md): sheds are monotone,
-// queue depth is gauge-valued (see obs.Counter.Dec).
-var (
-	ctrShed       = obs.NewCounter(obs.CounterServerShedTotal)
-	ctrQueueDepth = obs.NewCounter(obs.CounterServerQueueDepth)
-)
+// ctrShed counts sheds (docs/observability.md). The queue depth is
+// not a counter: /metrics reads it per server from queueLen.
+var ctrShed = obs.NewCounter(obs.CounterServerShedTotal)
 
 // DefaultMaxInflight is the default in-flight sweep budget in weight
 // units (measurement cells). The full-suite default-board sweep weighs
@@ -141,10 +138,8 @@ func (a *admission) submitAsync(q *queuedSweep) (ok bool) {
 	if len(a.queue) >= a.maxQueue {
 		evicted = a.queue[0]
 		a.queue = a.queue[1:]
-		ctrQueueDepth.Dec()
 	}
 	a.queue = append(a.queue, q)
-	ctrQueueDepth.Inc()
 	a.mu.Unlock()
 	if evicted != nil {
 		evicted.shed()
@@ -166,7 +161,6 @@ func (a *admission) release(weight int, took time.Duration) {
 		q := a.queue[0]
 		a.queue = a.queue[1:]
 		a.inflight += q.weight
-		ctrQueueDepth.Dec()
 		starts = append(starts, q)
 	}
 	a.mu.Unlock()
@@ -205,7 +199,8 @@ func (a *admission) retryAfter() time.Duration {
 	return d
 }
 
-// queueLen is the current number of parked async jobs (tests, logs).
+// queueLen is the current number of parked async jobs: the
+// server.queue_depth gauge /metrics reports.
 func (a *admission) queueLen() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -20,9 +20,9 @@ import (
 // Sweep submission and retrieval. Every POST /v1/sweep creates a job —
 // a server-side handle with an id, live progress, and (when done) the
 // rendered v1 JSON report. Jobs are handles, not computations: the
-// computation itself lives in the keyed sweep cache, so ten jobs for
-// identical queries share one characterization and each still streams
-// its own progress to its own SSE clients.
+// computation itself lives in the keyed sweep cache, whose entry fans
+// progress out to every job joined to it; each job keeps one progress
+// snapshot that its SSE clients re-read when it changes.
 
 // SweepRequest is the POST /v1/sweep body. The zero value (or an empty
 // body) requests the canonical full-suite default-board sweep — the
@@ -102,33 +102,15 @@ type progressEvent struct {
 	Total   int `json:"total"`
 }
 
-// subscriber is one SSE watcher attached to a job's progress fanout.
-// missed counts consecutive events dropped because its channel was
-// full; a watcher that misses stallKickAfter in a row is presumed
-// stalled (a client that stopped reading but never disconnected) and
-// kicked, so its handler goroutine can never outlive the job by much
-// and the fanout never carries dead weight.
-type subscriber struct {
-	ch       chan progressEvent
-	kicked   chan struct{}
-	missed   int
-	kickSent bool // kicked already closed; never close twice
-}
-
-// stallKickAfter is how many consecutive missed events (on top of a
-// full 32-event buffer) mark a subscriber as stalled.
-const stallKickAfter = 64
-
-// job is one submitted sweep: identity, monotone progress, fanout
-// subscriptions, and the outcome.
+// job is one submitted sweep: identity, monotone progress, and the
+// outcome.
 type job struct {
 	id string
 
 	mu      sync.Mutex
 	state   string
 	prog    progressEvent
-	subs    map[int]*subscriber
-	nextSub int
+	changed chan struct{} // closed and replaced on each accepted progress update
 
 	doneCh      chan struct{} // closed on completion (done, failed, or shed)
 	body        []byte        // v1 JSON report (StateDone); aliases the sweep-cache entry's bytes, read-only
@@ -140,57 +122,27 @@ type job struct {
 
 // update is the job's SweepOptions.Progress hook. The sweep engine
 // reports from pool workers concurrently, so observations can arrive
-// out of order; update keeps the stream monotone (an SSE client never
-// sees progress go backwards) and fans the event out without blocking
-// the sweep — a slow SSE client just misses intermediate events, and a
-// persistently stalled one is kicked (see subscriber).
+// out of order; update keeps the snapshot monotone (an SSE client never
+// sees progress go backwards) and wakes every watcher by closing the
+// change channel. It never blocks on a watcher: a slow SSE client just
+// re-reads a later snapshot when it gets round to it.
 func (j *job) update(done, skipped, total int) {
-	ev := progressEvent{Done: done, Skipped: skipped, Total: total}
-	j.mu.Lock()
-	if ev.Done+ev.Skipped < j.prog.Done+j.prog.Skipped {
-		j.mu.Unlock()
-		return
-	}
-	j.prog = ev
-	var kicks []chan struct{}
-	for _, sub := range j.subs {
-		select {
-		case sub.ch <- ev:
-			sub.missed = 0
-		default: // subscriber lagging; it will catch up on a later event
-			sub.missed++
-			if sub.missed >= stallKickAfter && !sub.kickSent {
-				sub.kickSent = true
-				kicks = append(kicks, sub.kicked)
-			}
-		}
-	}
-	j.mu.Unlock()
-	for _, k := range kicks {
-		close(k)
-	}
-}
-
-// subscribe registers an SSE watcher and returns its id, the
-// subscriber handle, and the progress snapshot at attach time.
-func (j *job) subscribe() (int, *subscriber, progressEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	id := j.nextSub
-	j.nextSub++
-	sub := &subscriber{
-		ch:     make(chan progressEvent, 32),
-		kicked: make(chan struct{}),
+	if done+skipped < j.prog.Done+j.prog.Skipped {
+		return
 	}
-	j.subs[id] = sub
-	return id, sub, j.prog
+	j.prog = progressEvent{Done: done, Skipped: skipped, Total: total}
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
-// unsubscribe drops an SSE watcher.
-func (j *job) unsubscribe(id int) {
+// watch returns the current progress snapshot and a channel closed by
+// the next accepted update.
+func (j *job) watch() (progressEvent, <-chan struct{}) {
 	j.mu.Lock()
-	delete(j.subs, id)
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	return j.prog, j.changed
 }
 
 // setState transitions the job (queued → running on dispatch).
@@ -200,39 +152,26 @@ func (j *job) setState(state string) {
 	j.mu.Unlock()
 }
 
-// wasDeadline reports whether the job failed because its deadline
-// elapsed before any result was assembled.
-func (j *job) wasDeadline() bool {
+// finish publishes a sweep that assembled records — even partially —
+// as StateDone with its rendered report, and wakes every waiter. The
+// outcome fields never change afterwards, so the goroutine that ran the
+// job, or a reader that observed doneCh closed or StateDone under mu,
+// may read them without the lock.
+func (j *job) finish(body []byte, datapoints int, partial bool) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.deadlineHit
-}
-
-// finish publishes the outcome and wakes every waiter. A sweep that
-// assembled records — even partially — is StateDone with the rendered
-// report; only a sweep with nothing to report (bad request raced a
-// registry change, cancellation before any cell) is StateFailed.
-func (j *job) finish(body []byte, datapoints int, partial bool, errMsg string) {
-	j.mu.Lock()
-	if errMsg != "" && body == nil {
-		j.state = StateFailed
-		j.errMsg = errMsg
-	} else {
-		j.state = StateDone
-		j.body = body
-		j.datapoints = datapoints
-		j.partial = partial
-	}
+	j.state, j.body, j.datapoints, j.partial = StateDone, body, datapoints, partial
 	j.mu.Unlock()
 	close(j.doneCh)
 }
 
-// finishShed terminates a queued job evicted by the admission
-// controller: it never ran, and polls answer 503 with Retry-After.
-func (j *job) finishShed() {
+// fail ends a job that has no report and wakes every waiter: StateFailed
+// for a sweep that assembled nothing (cancellation or a deadline before
+// any cell, a request that raced a registry change), StateShed for a
+// queued job the admission controller evicted — it never ran, and polls
+// answer 503 with Retry-After.
+func (j *job) fail(state, errMsg string, deadlineHit bool) {
 	j.mu.Lock()
-	j.state = StateShed
-	j.errMsg = "evicted from the admission queue under load"
+	j.state, j.errMsg, j.deadlineHit = state, errMsg, deadlineHit
 	j.mu.Unlock()
 	close(j.doneCh)
 }
@@ -285,10 +224,10 @@ func (t *jobTable) create(state string) *job {
 	defer t.mu.Unlock()
 	t.next++
 	j := &job{
-		id:     fmt.Sprintf("s%d", t.next),
-		state:  state,
-		subs:   make(map[int]*subscriber),
-		doneCh: make(chan struct{}),
+		id:      fmt.Sprintf("s%d", t.next),
+		state:   state,
+		changed: make(chan struct{}),
+		doneCh:  make(chan struct{}),
 	}
 	t.m[j.id] = j
 	return j
@@ -417,8 +356,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Backend = be
 	}
-	deadline := s.sweepDeadline(req)
-	weight := sweepWeight(specs, archs)
 	// One key per request: the query derives it once, for both the
 	// admission probe and the cached run. Admission-exempt when the
 	// cache already holds the query (warm hit or coalescing join):
@@ -426,16 +363,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// work. The check is advisory — an entry evicted between check and
 	// run just makes this one unadmitted miss.
 	q := report.NewQuery(specs, archs, opts.Backend)
-	free := q.Present()
+	sw := sweepJob{
+		q:        q,
+		opts:     opts,
+		deadline: s.sweepDeadline(req),
+		weight:   sweepWeight(specs, archs),
+		free:     q.Present(),
+	}
 
 	if req.Async {
-		s.handleSweepAsync(w, q, opts, deadline, weight, free)
+		s.handleSweepAsync(w, sw)
 		return
 	}
-	if !free && !s.adm.tryAcquire(weight) {
+	if !sw.free && !s.adm.tryAcquire(sw.weight) {
 		ctrShed.Inc()
 		s.writeShed(w, http.StatusTooManyRequests,
-			"server at capacity: sweep weight %d exceeds the available in-flight budget", weight)
+			"server at capacity: sweep weight %d exceeds the available in-flight budget", sw.weight)
 		return
 	}
 	// Synchronous: the request context rides the cancellation plumbing.
@@ -443,33 +386,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// underlying run cancels only if no other client shares it. The
 	// resolved deadline bounds the whole request.
 	j := s.jobs.create(StateRunning)
-	ctx := r.Context()
-	cancel := context.CancelFunc(func() {})
-	if deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, deadline)
+	s.runJob(r.Context(), j, sw)
+	switch {
+	case j.state == StateDone:
+		writeReport(w, j)
+	case j.deadlineHit:
+		writeJSON(w, http.StatusGatewayTimeout, ErrorBody{
+			Error: fmt.Sprintf("sweep %s: deadline of %v elapsed before any result", j.id, sw.deadline),
+			Code:  ErrCodeDeadlineExceeded,
+		})
+	default:
+		writeError(w, http.StatusInternalServerError, "sweep %s: %s", j.id, j.errMsg)
 	}
-	start := time.Now()
-	s.runJob(ctx, j, q, opts)
-	cancel()
-	if !free {
-		s.adm.release(weight, time.Since(start))
-	}
-	st := j.status()
-	if st.State == StateFailed {
-		if j.wasDeadline() {
-			writeJSON(w, http.StatusGatewayTimeout, ErrorBody{
-				Error: fmt.Sprintf("sweep %s: deadline of %v elapsed before any result", j.id, deadline),
-				Code:  ErrCodeDeadlineExceeded,
-			})
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "sweep %s: %s", j.id, st.Error)
-		return
-	}
-	w.Header().Set(SweepIDHeader, j.id)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(j.body)
+}
+
+// sweepJob is one resolved submission: the query, its run options, the
+// effective deadline (0 = unbounded), and its admission weight, which
+// it does not hold when free (the query was already cached or in
+// flight).
+type sweepJob struct {
+	q        report.Query
+	opts     core.SweepOptions
+	deadline time.Duration
+	weight   int
+	free     bool
 }
 
 // handleSweepAsync admits, queues, or sheds an async submission. Async
@@ -477,38 +417,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // dispatched they run on a background context (bounded only by the
 // resolved deadline) and complete whether or not the submitter sticks
 // around to watch.
-func (s *Server) handleSweepAsync(w http.ResponseWriter, q report.Query, opts core.SweepOptions, deadline time.Duration, weight int, free bool) {
+func (s *Server) handleSweepAsync(w http.ResponseWriter, sw sweepJob) {
 	j := s.jobs.create(StateQueued)
 	startJob := func() {
 		j.setState(StateRunning)
-		ctx := context.Background()
-		cancel := context.CancelFunc(func() {})
-		if deadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, deadline)
-		}
-		start := time.Now()
-		s.runJob(ctx, j, q, opts)
-		cancel()
-		if !free {
-			s.adm.release(weight, time.Since(start))
-		}
+		s.runJob(context.Background(), j, sw)
 	}
 	accepted := SweepAccepted{
 		ID:     j.id,
 		Result: "/v1/sweep/" + j.id,
 		Events: "/v1/sweep/" + j.id + "/events",
 	}
-	if free {
+	if sw.free {
 		go startJob()
 		writeJSON(w, http.StatusAccepted, accepted)
 		return
 	}
 	qs := &queuedSweep{
-		weight: weight,
+		weight: sw.weight,
 		start:  startJob,
 		shed: func() {
 			ctrShed.Inc()
-			j.finishShed()
+			j.fail(StateShed, "evicted from the admission queue under load", false)
 			s.jobs.retire(j.id)
 			s.logf("sweep %s: shed (evicted from admission queue)", j.id)
 		},
@@ -519,50 +449,62 @@ func (s *Server) handleSweepAsync(w http.ResponseWriter, q report.Query, opts co
 		s.jobs.drop(j.id)
 		ctrShed.Inc()
 		s.writeShed(w, http.StatusServiceUnavailable,
-			"server at capacity and async queue disabled: sweep weight %d refused", weight)
+			"server at capacity and async queue disabled: sweep weight %d refused", sw.weight)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
-// runJob executes one job through the keyed sweep cache and publishes
-// its outcome. The job's body is the cache entry's encoded report —
-// rendered once per entry, not per request. A partial sweep —
-// contained kernel failures, watchdog timeouts — still renders (per
-// request, never retained): the report carries the failures block and
-// the job completes as done (HTTP 200), because a characterization
-// with explicit gaps is a result, not a server error.
-func (s *Server) runJob(ctx context.Context, j *job, q report.Query, opts core.SweepOptions) {
+// runJob executes one admitted job through the keyed sweep cache under
+// ctx bounded by the job's deadline, publishes its outcome, retires the
+// job and returns its admission weight. The job's body is the cache
+// entry's encoded report — rendered once per entry, not per request. A
+// partial sweep — contained kernel failures, watchdog timeouts — still
+// renders (per request, never retained): the report carries the
+// failures block and the job completes as done (HTTP 200), because a
+// characterization with explicit gaps is a result, not a server error.
+func (s *Server) runJob(ctx context.Context, j *job, sw sweepJob) {
+	if sw.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, sw.deadline)
+		defer cancel()
+	}
+	start := time.Now()
+	if !sw.free {
+		defer func() { s.adm.release(sw.weight, time.Since(start)) }()
+	}
+	defer s.jobs.retire(j.id)
+	opts := sw.opts
 	opts.Context = ctx
 	opts.Progress = j.update
-	start := time.Now()
-	res, err := q.Run(opts)
+	res, err := sw.q.Run(opts)
 	if err != nil && len(res.Records) == 0 {
 		// The sweep's own error wraps the run context's cancellation
 		// (context.Canceled when this request's departure canceled it),
 		// so the request context is what tells a deadline death apart
 		// from a disconnect.
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			j.mu.Lock()
-			j.deadlineHit = true
-			j.mu.Unlock()
-		}
+		deadlineHit := errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded)
 		s.logf("sweep %s: failed after %v: %v", j.id, time.Since(start).Round(time.Millisecond), err)
-		j.finish(nil, 0, false, err.Error())
-		s.jobs.retire(j.id)
+		j.fail(StateFailed, err.Error(), deadlineHit)
 		return
 	}
 	body, werr := res.JSON()
 	if werr != nil {
-		j.finish(nil, 0, false, werr.Error())
-		s.jobs.retire(j.id)
+		j.fail(StateFailed, werr.Error(), false)
 		return
 	}
 	datapoints, partial := res.Datapoints(), res.Partial()
 	s.logf("sweep %s: %d datapoints in %v (partial=%v)",
 		j.id, datapoints, time.Since(start).Round(time.Millisecond), partial)
-	j.finish(body, datapoints, partial, "")
-	s.jobs.retire(j.id)
+	j.finish(body, datapoints, partial)
+}
+
+// writeReport answers 200 with a done job's rendered report.
+func writeReport(w http.ResponseWriter, j *job) {
+	w.Header().Set(SweepIDHeader, j.id)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(j.body)
 }
 
 // handleSweepResult is GET /v1/sweep/{id}: the rendered report once
@@ -581,13 +523,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	case StateShed:
 		s.writeShed(w, http.StatusServiceUnavailable, "sweep %s: %s", j.id, st.Error)
 	case StateDone:
-		w.Header().Set(SweepIDHeader, j.id)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		j.mu.Lock()
-		body := j.body
-		j.mu.Unlock()
-		_, _ = w.Write(body)
+		writeReport(w, j)
 	case StateFailed:
 		writeJSON(w, http.StatusInternalServerError, st)
 	default:

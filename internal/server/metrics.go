@@ -26,16 +26,12 @@ func metricName(counter string) string {
 	return MetricsPrefix + strings.ReplaceAll(counter, ".", "_")
 }
 
-// gaugeCounters are the obs names whose value is a current level, not
-// a cumulative total; they export with TYPE gauge.
-var gaugeCounters = map[string]bool{
-	obs.CounterServerQueueDepth: true,
-}
-
-// handleMetrics renders every registered counter, sorted by metric
-// name for a stable scrape.
+// handleMetrics renders every registered counter, plus this server's
+// server.queue_depth gauge read at scrape time, sorted by metric name
+// for a stable scrape.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counters := obs.Counters()
+	counters[obs.GaugeServerQueueDepth] = uint64(s.adm.queueLen())
 	names := make([]string, 0, len(counters))
 	for name := range counters {
 		names = append(names, name)
@@ -45,7 +41,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, name := range names {
 		m := metricName(name)
 		typ := "counter"
-		if gaugeCounters[name] {
+		if name == obs.GaugeServerQueueDepth {
 			typ = "gauge"
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", m, typ, m, counters[name])

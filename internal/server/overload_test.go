@@ -336,6 +336,60 @@ func TestAsyncEvictionShed(t *testing.T) {
 	report.InvalidateCharacterization()
 }
 
+// TestQueueDepthGaugePerServer: server.queue_depth is read from the
+// scraped server's own admission queue. Two servers in one process,
+// each holding one queued async job, each scrape 1 (a process-global
+// count would read 2), and 0 once their job is dispatched or evicted.
+func TestQueueDepthGaugePerServer(t *testing.T) {
+	depth := func(s *Server) string {
+		t.Helper()
+		body := get(s.Handler(), "/metrics").Body.String()
+		m := metricName(obs.GaugeServerQueueDepth)
+		if !strings.Contains(body, "# TYPE "+m+" gauge\n") {
+			t.Fatalf("/metrics lacks the %s gauge:\n%s", m, body)
+		}
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, m+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics lacks a %s sample", m)
+		return ""
+	}
+	queued := func() *queuedSweep {
+		return &queuedSweep{weight: 1, start: func() {}, shed: func() {}}
+	}
+	var servers []*Server
+	for i := 0; i < 2; i++ {
+		s := New(Options{MaxInflight: 1, MaxQueue: 1})
+		if !s.adm.tryAcquire(1) {
+			t.Fatal("could not fill the budget")
+		}
+		if !s.adm.submitAsync(queued()) {
+			t.Fatal("async job refused with queue space available")
+		}
+		servers = append(servers, s)
+	}
+	for i, s := range servers {
+		if got := depth(s); got != "1" {
+			t.Fatalf("server %d queue depth = %s, want 1", i, got)
+		}
+	}
+	// Server 0 dispatches its job; server 1's job is evicted by a
+	// newcomer, which is then dispatched in turn.
+	servers[0].adm.release(1, time.Millisecond)
+	servers[1].adm.submitAsync(queued())
+	if got := depth(servers[1]); got != "1" {
+		t.Fatalf("after eviction, queue depth = %s, want 1 (the newcomer)", got)
+	}
+	servers[1].adm.release(1, time.Millisecond)
+	for i, s := range servers {
+		if got := depth(s); got != "0" {
+			t.Fatalf("server %d queue depth after dispatch = %s, want 0", i, got)
+		}
+	}
+}
+
 // TestAsyncRefusedWithoutQueue: MaxQueue < 0 disables queueing, so an
 // over-budget async submission is refused outright with 503 — and the
 // never-disclosed job handle does not linger in the table.

@@ -185,7 +185,7 @@ func TestSweepByteIdenticalToCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := report.RunSweepQuery([]core.Spec{sp}, archs, core.SweepOptions{})
+	c, err := report.NewQuery([]core.Spec{sp}, archs, nil).Run(core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

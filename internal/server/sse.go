@@ -50,12 +50,15 @@ func writeSSE(w http.ResponseWriter, flusher http.Flusher, event string, payload
 	flusher.Flush()
 }
 
-// handleSweepEvents is GET /v1/sweep/{id}/events: subscribe to the
-// job's progress fanout, replay the current snapshot so a late client
-// starts from truth rather than zero, stream monotone progress frames,
-// and close with a terminal done/error frame. Attaching to an already
-// finished job replays the final progress snapshot and terminates
-// immediately.
+// handleSweepEvents is GET /v1/sweep/{id}/events: replay the job's
+// current progress snapshot so a late client starts from truth rather
+// than zero, write the snapshot again each time it changes, and close
+// with the final snapshot and a terminal done/error frame. The handler
+// never holds anything the sweep waits on: a client that stops reading
+// blocks only this handler's Write, and once it drains the handler
+// re-reads the latest snapshot, skipping the ones it missed. Attaching
+// to an already finished job replays the final progress snapshot and
+// terminates immediately.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.lookup(r.PathValue("id"))
 	if !ok {
@@ -78,42 +81,28 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	// instead of blocking until the first event happens to be written.
 	flusher.Flush()
 
-	id, sub, snapshot := j.subscribe()
-	defer j.unsubscribe(id)
-	if snapshot.Total > 0 {
-		writeSSE(w, flusher, SSEEventProgress, snapshot)
+	var sent progressEvent
+	sendProgress := func(prog progressEvent) {
+		if prog != sent && prog.Total > 0 {
+			writeSSE(w, flusher, SSEEventProgress, prog)
+			sent = prog
+		}
 	}
 	for {
+		prog, changed := j.watch()
+		sendProgress(prog)
 		select {
-		case ev := <-sub.ch:
-			writeSSE(w, flusher, SSEEventProgress, ev)
-		case <-sub.kicked:
-			// The fanout marked this subscriber stalled (its buffer
-			// stayed full across many events — a client that stopped
-			// reading without disconnecting). Drop it; the fanout never
-			// blocked on it and its goroutine ends here.
-			return
+		case <-changed:
 		case <-j.doneCh:
-			// Drain any progress frames that raced completion so the
-			// last progress a client sees is the final count.
-			for {
-				select {
-				case ev := <-sub.ch:
-					writeSSE(w, flusher, SSEEventProgress, ev)
-					continue
-				default:
-				}
-				break
-			}
+			// The last progress a client sees is the final count.
+			prog, _ = j.watch()
+			sendProgress(prog)
 			st := j.status()
 			switch st.State {
 			case StateFailed, StateShed:
 				writeSSE(w, flusher, SSEEventError, sseError{ID: j.id, Error: st.Error})
 			default:
-				j.mu.Lock()
-				done := sseDone{ID: j.id, Datapoints: j.datapoints, Partial: j.partial}
-				j.mu.Unlock()
-				writeSSE(w, flusher, SSEEventDone, done)
+				writeSSE(w, flusher, SSEEventDone, sseDone{ID: j.id, Datapoints: j.datapoints, Partial: j.partial})
 			}
 			return
 		case <-r.Context().Done():

@@ -1,78 +1,90 @@
 package server
 
 import (
-	"io"
+	"bufio"
+	"context"
+	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
 // Stalled-SSE-client containment (docs/server.md, docs/robustness.md
-// "slow clients cost themselves only"): the progress fanout never
-// blocks on a subscriber, and a subscriber that stays full across many
-// consecutive events is kicked so its handler goroutine cannot outlive
-// the job.
+// "slow clients cost themselves only"): a job's progress is one
+// monotone snapshot plus a change channel, so a progress update never
+// blocks on a watcher, and a watcher that stops reading only delays
+// its own stream.
 
-// TestStalledSubscriberKicked: a subscriber that never drains is kicked
-// after its buffer plus stallKickAfter consecutive misses, exactly
-// once — further fanout events must not close the kick channel again.
-func TestStalledSubscriberKicked(t *testing.T) {
+// TestUpdateNeverBlocksOnWatchers: 10⁵ progress updates with eight
+// attached watchers that never read finish promptly, every watcher's
+// change channel fires, and the snapshot holds the last update.
+func TestUpdateNeverBlocksOnWatchers(t *testing.T) {
 	var tbl jobTable
 	tbl.init(4)
 	j := tbl.create(StateRunning)
-	_, sub, _ := j.subscribe()
-
-	total := cap(sub.ch) + stallKickAfter
-	for i := 1; i <= total; i++ {
-		j.update(i, 0, 1<<20)
+	var watchers []<-chan struct{}
+	for i := 0; i < 8; i++ {
+		_, changed := j.watch()
+		watchers = append(watchers, changed)
 	}
+
+	const updates = 100_000
+	finished := make(chan struct{})
+	go func() {
+		for i := 1; i <= updates; i++ {
+			j.update(i, 0, updates)
+		}
+		close(finished)
+	}()
 	select {
-	case <-sub.kicked:
-	default:
-		t.Fatalf("subscriber not kicked after %d undrained events", total)
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("progress updates blocked on watchers that never read")
 	}
-	// A second close would panic; these must be no-ops on the kick path.
-	for i := total + 1; i <= total+16; i++ {
-		j.update(i, 0, 1<<20)
-	}
-}
-
-// TestFreshSubscriberNotKicked: a subscriber that keeps draining is
-// never kicked however many events flow.
-func TestFreshSubscriberNotKicked(t *testing.T) {
-	var tbl jobTable
-	tbl.init(4)
-	j := tbl.create(StateRunning)
-	_, sub, _ := j.subscribe()
-	for i := 1; i <= 10*stallKickAfter; i++ {
-		j.update(i, 0, 1<<20)
+	for i, changed := range watchers {
 		select {
-		case <-sub.ch:
+		case <-changed:
 		default:
+			t.Fatalf("watcher %d was never woken", i)
 		}
 	}
-	select {
-	case <-sub.kicked:
-		t.Fatal("draining subscriber was kicked")
-	default:
+	if prog, _ := j.watch(); prog.Done != updates || prog.Total != updates {
+		t.Fatalf("snapshot = %+v, want done=total=%d", prog, updates)
 	}
 }
 
 // TestStalledSSEClientDropped: end to end over a real listener — a
-// client that opens the events stream and stops reading fills the
-// socket, stalls its handler, and is kicked; the fanout (driven here
-// directly via j.update) never blocks, the stream terminates once the
-// client drains, and the server returns to its goroutine baseline.
+// client that opens the events stream and stops reading stalls only its
+// own handler; progress updates (driven here directly via j.update)
+// never block on it. Once the job finishes and the client drains, its
+// stream ends with the final progress snapshot and then the done frame,
+// and the server returns to its goroutine baseline.
 func TestStalledSSEClientDropped(t *testing.T) {
+	// Small socket buffers on both ends, so the unread stream fills the
+	// connection after a few hundred frames.
 	s := New(Options{Workers: 2})
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Listener = smallBufListener{ts.Listener}
+	ts.Start()
 	defer ts.Close()
 	j := s.jobs.create(StateRunning)
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if err == nil {
+				err = c.(*net.TCPConn).SetReadBuffer(4096)
+			}
+			return c, err
+		},
+	}}
+	defer client.CloseIdleConnections()
 
 	base := runtime.NumGoroutine()
-	resp, err := http.Get(ts.URL + "/v1/sweep/" + j.id + "/events")
+	resp, err := client.Get(ts.URL + "/v1/sweep/" + j.id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,49 +92,44 @@ func TestStalledSSEClientDropped(t *testing.T) {
 		t.Fatalf("content-type = %q", ct)
 	}
 
-	// Capture the handler's subscriber once it attaches. The kicked
-	// handler unsubscribes on its way out, so the handle must be taken
-	// before pumping rather than looked up afterwards.
-	var sub *subscriber
-	for start := time.Now(); sub == nil; {
-		j.mu.Lock()
-		for _, candidate := range j.subs {
-			sub = candidate
+	// Pump progress for a while with nobody reading the response body:
+	// the handler fills the socket and blocks in Write while the pump
+	// runs on.
+	const total = 1 << 30
+	pumped := make(chan int)
+	go func() {
+		i := 0
+		for start := time.Now(); time.Since(start) < 250*time.Millisecond; {
+			i++
+			j.update(i, 0, total)
 		}
-		j.mu.Unlock()
-		if sub == nil {
-			if time.Since(start) > 5*time.Second {
-				t.Fatal("handler never subscribed")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		pumped <- i
+	}()
+	var updates int
+	select {
+	case updates = <-pumped:
+	case <-time.After(30 * time.Second):
+		t.Fatal("progress updates blocked on a stalled SSE client")
 	}
+	j.finish([]byte("{}"), 7, false)
 
-	// Pump progress far faster than the unreading client's handler can
-	// flush it. The subscriber channel stays full across consecutive
-	// events, the fanout kicks it, and the pump itself never blocks —
-	// that is the guarantee under test.
-	deadline := time.Now().Add(30 * time.Second)
-pump:
-	for i := 1; ; i++ {
-		select {
-		case <-sub.kicked:
-			break pump
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("fanout never kicked the stalled client")
-		}
-		j.update(i, 0, 1<<30)
-	}
-
-	// Drain: the handler finishes its blocked write, sees the kick, and
-	// ends the stream — the client reads through to EOF, no terminal
-	// done/error frame required.
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatalf("draining the kicked stream: %v", err)
-	}
+	// Drain: the handler finishes its blocked write, re-reads the final
+	// snapshot, and terminates the stream with the done frame.
+	events := readFrames(t, resp)
 	resp.Body.Close()
+	t.Logf("%d updates pumped, %d frames drained", updates, len(events))
+	if n := len(events); n < 2 {
+		t.Fatalf("drained stream has %d frames, want the final progress and done", n)
+	}
+	final, last := events[len(events)-2], events[len(events)-1]
+	var prog progressEvent
+	if final.name != SSEEventProgress || json.Unmarshal([]byte(final.data), &prog) != nil ||
+		prog != (progressEvent{Done: updates, Total: total}) {
+		t.Fatalf("frame before terminal = %s %s, want the final progress snapshot", final.name, final.data)
+	}
+	if last.name != SSEEventDone {
+		t.Fatalf("terminal frame = %s %s, want %s", last.name, last.data, SSEEventDone)
+	}
 
 	waitUntil := time.Now().Add(5 * time.Second)
 	for time.Now().Before(waitUntil) {
@@ -131,6 +138,44 @@ pump:
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Fatalf("goroutines: baseline %d, now %d — kicked SSE handler leaked",
+	t.Fatalf("goroutines: baseline %d, now %d — stalled SSE handler leaked",
 		base, runtime.NumGoroutine())
+}
+
+// smallBufListener shrinks each accepted connection's send buffer.
+type smallBufListener struct{ net.Listener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		err = c.(*net.TCPConn).SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// frame is one parsed SSE event.
+type frame struct{ name, data string }
+
+// readFrames reads an SSE response to EOF and parses its frames.
+func readFrames(t *testing.T, resp *http.Response) []frame {
+	t.Helper()
+	var frames []frame
+	var cur frame
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			cur.name = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			cur.data = strings.TrimPrefix(line, "data: ")
+		case line == "" && cur.name != "":
+			frames = append(frames, cur)
+			cur = frame{}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("draining the stalled stream: %v", err)
+	}
+	return frames
 }

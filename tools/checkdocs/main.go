@@ -34,6 +34,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -232,7 +233,7 @@ func checkServerDocs(path string) []string {
 		obs.CounterServerRequests,
 		obs.CounterServerSSEClients,
 		obs.CounterServerShedTotal,
-		obs.CounterServerQueueDepth,
+		obs.GaugeServerQueueDepth,
 		obs.CounterSweepCacheHit,
 		obs.CounterSweepCacheMiss,
 		obs.CounterSweepCacheCoalesced,
@@ -279,7 +280,7 @@ func checkBackendDocs(path string) []string {
 }
 
 // checkCounterDocs requires a docs/observability.md row (backticked
-// name) for every canonical counter and span — the doc half of the
+// name) for every canonical counter, gauge and span — the doc half of the
 // obs registry gate, enforced here so `go run ./tools/checkdocs`
 // catches the drift without running the test suite.
 func checkCounterDocs(path string) []string {
@@ -289,9 +290,9 @@ func checkCounterDocs(path string) []string {
 	}
 	doc := string(data)
 	var problems []string
-	for _, name := range obs.AllCounters {
+	for _, name := range slices.Concat(obs.AllCounters, obs.AllGauges) {
 		if !strings.Contains(doc, "`"+name+"`") {
-			problems = append(problems, fmt.Sprintf("%s: does not document counter `%s`", path, name))
+			problems = append(problems, fmt.Sprintf("%s: does not document metric `%s`", path, name))
 		}
 	}
 	for _, name := range obs.AllSpans {
