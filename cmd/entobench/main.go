@@ -24,12 +24,12 @@
 //	                               # through the trace backend;
 //	                               # -cachedir persists per-cell results so
 //	                               # overlapping sweeps compute only the delta;
-//	                               # -shard runs slice I of an N-way partition
-//	                               # and emits a shard bundle (requires -json)
+//	                               # -shard fills -cachedir with slice I of an
+//	                               # N-way partition and prints no report; a
+//	                               # plain -cachedir sweep over the union of
+//	                               # the shards' records assembles it
 //	entobench trace <kernel> [-arch M4] [-boards FILE] [-o FILE]
 //	                               # export a synthesized trace-capture CSV
-//	entobench merge [-o FILE] <shard.json>...
-//	                               # join shard bundles into the v1 JSON report
 //	entobench closedloop           # Section VI-E task-level demo
 //
 // The command table below (var commands) is the single source of truth
@@ -103,9 +103,6 @@ var commands = []command{
 	{name: "trace", args: "<kernel> [-arch M4] [-boards FILE] [-o FILE]",
 		summary: "export a kernel's synthesized capture as a trace CSV (cache on and off)",
 		run:     traceExport},
-	{name: "merge", args: "[-o FILE] <shard.json>...",
-		summary: "join shard bundles into one v1 JSON report",
-		run:     merge},
 	{name: "closedloop", summary: "Section VI-E demo: task-level metrics + compute bill",
 		run: func([]string) error { return closedLoop() }},
 }
@@ -336,7 +333,10 @@ func resolveSweepArchs(boardFiles, query string) ([]mcu.Arch, error) {
 // human tables on stdout for the versioned JSON export; -trace
 // additionally writes a Chrome trace_event file of the run; -progress
 // keeps a live status line on stderr (never stdout, so piped output
-// stays clean).
+// stays clean). -shard I/N fills -cachedir with one slice of the job
+// grid and prints only a summary line on stderr; `sweep -cachedir`
+// over the union of the shards' records then assembles the report
+// without computing a cell.
 //
 // Failure handling (DESIGN.md §12): a kernel that panics, errors, or
 // trips the -celltimeout watchdog costs only its own cells — the sweep
@@ -357,18 +357,27 @@ func sweep(args []string) error {
 	cacheDir := fs.String("cachedir", "", "persistent per-cell result cache directory (created if missing)")
 	backendName := fs.String("backend", "", "measurement backend for the cells (sim, trace, or a registered name; default sim)")
 	traceFile := fs.String("tracefile", "", "trace-capture CSV replayed by the trace backend (implies -backend trace)")
-	shardSpec := fs.String("shard", "", "run slice I of an N-way grid partition (\"I/N\") and emit a shard bundle; requires -json")
+	shardSpec := fs.String("shard", "", "fill -cachedir with slice I of an N-way grid partition (\"I/N\") and print no report")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to FILE")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile after the sweep to FILE")
 	if err := fs.Parse(reorderArgs(fs, args)); err != nil {
 		return err
 	}
+	opts := core.SweepOptions{Workers: *j, FailFast: *failFast, CellTimeout: *cellTimeout}
+	if *shardSpec != "" {
+		var err error
+		if opts.ShardIndex, opts.ShardCount, err = parseShard(*shardSpec); err != nil {
+			return err
+		}
+		if *cacheDir == "" {
+			return errors.New("-shard fills the cell store and requires -cachedir")
+		}
+	}
 	archs, err := resolveSweepArchs(*boardFiles, *archsQ)
 	if err != nil {
 		return err
 	}
-	be, err := harness.ResolveBackend(*backendName, *traceFile)
-	if err != nil {
+	if opts.Backend, err = harness.ResolveBackend(*backendName, *traceFile); err != nil {
 		return err
 	}
 
@@ -377,6 +386,7 @@ func sweep(args []string) error {
 	// the partial result still flushes below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	opts.Context = ctx
 
 	// Host-side pprof hooks (docs/observability.md): the CPU profile
 	// covers the whole sweep; the heap profile snapshots after the run,
@@ -406,28 +416,12 @@ func sweep(args []string) error {
 		}()
 	}
 
-	opts := core.SweepOptions{
-		Workers:     *j,
-		FailFast:    *failFast,
-		CellTimeout: *cellTimeout,
-		Context:     ctx,
-		Backend:     be,
-	}
+	var cc *report.PersistentCellCache
 	if *cacheDir != "" {
-		cc, cerr := report.OpenCellCache(*cacheDir)
-		if cerr != nil {
-			return cerr
-		}
-		opts.CellCache = cc
-	}
-	if *shardSpec != "" {
-		if !*jsonOut {
-			return errors.New("-shard emits a machine-readable bundle and requires -json")
-		}
-		opts.ShardIndex, opts.ShardCount, err = parseShard(*shardSpec)
-		if err != nil {
+		if cc, err = report.OpenCellCache(*cacheDir); err != nil {
 			return err
 		}
+		opts.CellCache = cc
 	}
 	var prog *obs.Progress
 	if *progress {
@@ -437,30 +431,20 @@ func sweep(args []string) error {
 	if *tracePath != "" {
 		obs.StartTrace()
 	}
+	var c report.Characterization
 	if opts.ShardCount > 0 {
-		// A shard run: straight to the engine (partial by construction,
-		// so the in-memory sweep cache must not retain it), bundle to
-		// stdout. Any owned-cell failure aborts with no bundle — merge
-		// inputs are healthy by construction.
+		// A shard goes straight to the engine: its records are partial
+		// by construction, and the in-memory sweep key does not name the
+		// slot, so an unsharded caller must never coalesce onto it. Only
+		// its healthy cells reach the store.
 		sel := archs
 		if sel == nil {
 			sel = mcu.TableIVSet()
 		}
-		sr, serr := report.RunShard(core.Suite(), sel, opts)
-		if prog != nil {
-			prog.Done()
-		}
-		if *tracePath != "" {
-			if terr := writeTrace(*tracePath); terr != nil && serr == nil {
-				serr = terr
-			}
-		}
-		if serr != nil {
-			return serr
-		}
-		return report.WriteShardReport(os.Stdout, sr)
+		_, err = core.CharacterizeSuiteOpts(core.Suite(), sel, opts)
+	} else {
+		c, err = ento.Sweep(archs, opts)
 	}
-	c, err := ento.Sweep(archs, opts)
 	if prog != nil {
 		prog.Done()
 	}
@@ -468,6 +452,12 @@ func sweep(args []string) error {
 		if terr := writeTrace(*tracePath); terr != nil && err == nil {
 			err = terr
 		}
+	}
+	if opts.ShardCount > 0 {
+		p := cc.Provenance()
+		fmt.Fprintf(os.Stderr, "shard %d/%d: %d cells computed, %d already cached in %s\n",
+			opts.ShardIndex, opts.ShardCount, p.CellsComputed, p.CellsCached, p.Dir)
+		return err
 	}
 	if err != nil && len(c.Records) == 0 {
 		return err // nothing assembled — a plain failure, not a partial run
@@ -557,49 +547,6 @@ func parseShard(s string) (index, count int, err error) {
 		}
 	}
 	return 0, 0, fmt.Errorf("invalid -shard %q (want I/N with 1 <= I <= N)", s)
-}
-
-// merge joins shard bundles (entobench sweep -shard I/N -json) into the
-// single v1 JSON report a one-process sweep of the same query would
-// have produced, byte for byte. The bundles must form a complete
-// partition of one sweep; anything stale, duplicated, or missing is an
-// error.
-func merge(args []string) error {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	out := fs.String("o", "", "write the merged report to FILE instead of stdout")
-	if err := fs.Parse(reorderArgs(fs, args)); err != nil {
-		return err
-	}
-	if fs.NArg() < 1 {
-		return errors.New("merge needs at least one shard bundle file")
-	}
-	shards := make([]report.ShardReport, 0, fs.NArg())
-	for _, path := range fs.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		sr, err := report.ReadShardReport(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		shards = append(shards, sr)
-	}
-	c, err := report.MergeShards(shards)
-	if err != nil {
-		return err
-	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return c.WriteJSON(w)
 }
 
 // writeMemProfile forces a GC so the heap profile reflects live memory,

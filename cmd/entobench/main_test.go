@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -160,5 +161,69 @@ func TestUsageListsEveryCommand(t *testing.T) {
 
 	if _, ok := lookup("no-such-command"); ok {
 		t.Error("lookup accepted an unknown command")
+	}
+}
+
+// captureOutput runs fn with os.Stdout and os.Stderr redirected to
+// temporary files and returns what each received.
+func captureOutput(t *testing.T, fn func()) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	outF, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errF, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
+	defer func() { os.Stdout, os.Stderr = oldOut, oldErr }()
+	fn()
+	outF.Close()
+	errF.Close()
+	o, _ := os.ReadFile(outF.Name())
+	e, _ := os.ReadFile(errF.Name())
+	return string(o), string(e)
+}
+
+// A shard run only fills the cell store, so it needs one; a malformed
+// slot is still reported as such.
+func TestSweepShardFlagValidation(t *testing.T) {
+	err := sweep([]string{"-shard", "1/2"})
+	if err == nil || !strings.Contains(err.Error(), "-cachedir") {
+		t.Fatalf("-shard without -cachedir: err = %v, want one naming -cachedir", err)
+	}
+	for _, bad := range []string{"0/2", "3/2", "1-2", "a/b"} {
+		err := sweep([]string{"-shard", bad, "-cachedir", t.TempDir()})
+		if err == nil || !strings.Contains(err.Error(), "invalid -shard") {
+			t.Errorf("-shard %s: err = %v, want the I/N parse error", bad, err)
+		}
+	}
+	if _, ok := lookup("merge"); ok {
+		t.Error("the merge command is back; shards assemble through the cell store")
+	}
+}
+
+// A shard run writes nothing to stdout — its output is the records it
+// stores — and one summary line to stderr.
+func TestSweepShardWritesOnlyTheStore(t *testing.T) {
+	dir := t.TempDir()
+	var err error
+	stdout, stderr := captureOutput(t, func() {
+		err = sweep([]string{"-shard", "1/2", "-archs", "M4", "-j", "1", "-cachedir", dir})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != "" {
+		t.Fatalf("shard run wrote %d bytes to stdout", len(stdout))
+	}
+	if lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "shard 1/2: ") {
+		t.Fatalf("shard run stderr = %q, want one summary line", stderr)
+	}
+	if recs, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(recs) == 0 {
+		t.Fatal("shard run stored no records")
 	}
 }

@@ -53,8 +53,10 @@ type (
 	// SweepOptions configures a characterization sweep: worker count,
 	// progress hook, fail-fast vs contained failures, the per-cell
 	// watchdog timeout, a cancellation context (DESIGN.md §12), a
-	// persistent cell cache, a measurement backend, and shard
-	// partitioning.
+	// persistent cell cache, and a measurement backend. Leave the shard
+	// fields zero for Sweep, whose in-memory cache key does not name the
+	// slot: shards fill a cell cache (`entobench sweep -shard I/N
+	// -cachedir`), and a plain Sweep over that cache assembles them.
 	SweepOptions = core.SweepOptions
 	// CellCache serves and persists per-cell sweep results; plug one
 	// into SweepOptions.CellCache so overlapping sweeps compute only

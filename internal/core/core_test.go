@@ -188,3 +188,21 @@ func TestCharacterizeReferenceCell(t *testing.T) {
 			rec.Cells[0].Arch.Name, rec.Cells[0].CacheOn)
 	}
 }
+
+// A shard index outside 1..N is a sweep-options error, caught before
+// any job is dispatched: no progress is reported and no record returned.
+func TestShardIndexValidated(t *testing.T) {
+	spec, ok := core.ByName("madgwick")
+	if !ok {
+		t.Fatal("madgwick missing from suite")
+	}
+	for _, idx := range []int{0, 3, -1} {
+		recs, err := core.CharacterizeSuiteOpts([]core.Spec{spec}, mcu.TableIVSet(), core.SweepOptions{
+			ShardIndex: idx, ShardCount: 2,
+			Progress: func(done, skipped, total int) { t.Errorf("shard %d/2 dispatched a job", idx) },
+		})
+		if err == nil || recs != nil {
+			t.Fatalf("shard %d/2 accepted (records %v, err %v)", idx, recs, err)
+		}
+	}
+}

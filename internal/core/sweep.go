@@ -325,9 +325,10 @@ type SweepOptions struct {
 	// across processes: with ShardCount = N > 0 and ShardIndex = i in
 	// 1..N, the sweep executes only jobs whose serial index ≡ i-1
 	// (mod N) and marks every foreign job CellSkipped (with no error),
-	// so N shard runs cover each job exactly once and report.MergeShards
-	// reassembles the single-process bytes. ShardCount 0 disables
-	// sharding.
+	// so N shard runs cover each job exactly once. With a CellCache the
+	// shards fill the store, and an unsharded sweep over the union of
+	// their records assembles the single-process bytes from hits alone.
+	// ShardCount 0 disables sharding.
 	ShardIndex int
 	ShardCount int
 }
@@ -485,8 +486,8 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 	runJob := func(j, lane int) {
 		if !opts.ownsJob(j) {
 			// A foreign shard's job: skipped with no error, so this
-			// shard's bundle carries exactly its own cells and a healthy
-			// shard run exits clean.
+			// shard stores exactly its own cells and a healthy shard run
+			// exits clean.
 			commitSkip(records, &jobs[j], nil)
 			skipped.Add(1)
 			progress()

@@ -22,7 +22,7 @@ import (
 //
 // "identical" hammers one hot query (every request a cache hit);
 // "mixed" spreads requests across four distinct warmed queries plus
-// the hot one, exercising shard spread and LRU promotion under load.
+// the hot one, exercising keyed lookup and LRU promotion under load.
 // The recorded numbers and budgets live in BENCH_server_baseline.json,
 // enforced by tools/benchguard in CI next to BENCH_baseline.json.
 func BenchmarkServerSweepLoad(b *testing.B) {
