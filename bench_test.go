@@ -348,9 +348,9 @@ func BenchmarkFig5(b *testing.B) {
 
 // BenchmarkProfileHookOverhead prices the profiling hook on its three
 // paths: no session anywhere (the gate check every scalar op pays in
-// unprofiled execution), a session on another goroutine (the parallel
-// sweep's warm-up/validation reps), and a session on this goroutine
-// (the profiled ROI itself).
+// unprofiled execution), a session on another goroutine (one parallel
+// sweep lane's warm-up Solve while another lane profiles), and a
+// session on this goroutine (the profiled ROI itself).
 func BenchmarkProfileHookOverhead(b *testing.B) {
 	b.Run("idle", func(b *testing.B) {
 		b.ReportAllocs()

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mcu"
+	"repro/internal/obs"
 )
 
 // extSpec clones a cheap built-in kernel under a new name — the shape a
@@ -121,7 +122,9 @@ func TestSpecFits(t *testing.T) {
 }
 
 // A sweep over a registered custom board covers every kernel the board
-// fits, including the SRAM-gated ones when the board is big enough.
+// fits, including the SRAM-gated ones when the board is big enough. The
+// uncached full-suite sweep executes each kernel's profiled Solve once
+// and nothing more: harness.reps.host grows by exactly the kernel count.
 func TestSweepOverCustomBoard(t *testing.T) {
 	big := mcu.M7
 	big.Name = "SweepBig"
@@ -132,9 +135,13 @@ func TestSweepOverCustomBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg, _ := mcu.ByName("sweepbig")
+	before := obs.Counters()[obs.CounterHarnessHostReps]
 	recs, err := core.CharacterizeSuiteOpts(core.Suite(), []mcu.Arch{reg}, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := obs.Counters()[obs.CounterHarnessHostReps] - before; d != uint64(len(recs)) {
+		t.Errorf("sweep executed %d host reps, want %d (one per kernel)", d, len(recs))
 	}
 	for _, r := range recs {
 		if r.Spec.Name == "ext-lqr-clone" {

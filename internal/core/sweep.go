@@ -202,7 +202,7 @@ const jobStatic = -1
 // the kernel itself.
 type kernelPrep struct {
 	once sync.Once
-	ref  mcu.Arch // first fitting arch: the reference cell's core
+	ref  mcu.Arch // first fitting arch: the core of the reference cell rehydration reads
 	pp   *harness.Prepared
 	err  error
 }
@@ -214,11 +214,12 @@ type kernelPrep struct {
 // lane.
 //
 // When a cell cache is in play the prepare is rehydrated from the
-// kernel's cached reference cell when one exists: the prepared state is
-// only {name, counts, verdict}, all stored in every cached cell, and
-// MeasureOn is a pure function of them — so an incremental sweep (one
-// new board against a warm cache) measures the new cells without
-// executing the kernel at all, byte-identically.
+// kernel's cached reference cell (first fitting arch, cache on) when
+// one exists: the prepared state is only {name, counts, verdict}, all
+// stored in every cached cell, and MeasureOn is a pure function of
+// them — so an incremental sweep (one new board against a warm cache)
+// measures the new cells without executing the kernel at all,
+// byte-identically.
 func (kp *kernelPrep) get(ctx context.Context, spec Spec, cc CellCache, be harness.Backend, lane int) (*harness.Prepared, error) {
 	kp.once.Do(func() {
 		var start time.Time
@@ -248,9 +249,6 @@ func (kp *kernelPrep) get(ctx context.Context, spec Spec, cc CellCache, be harne
 				return
 			}
 		}
-		// The reference cell's schedule: first fitting arch, cache on
-		// (cells are ordered arch-major, cache on/off), so the validation
-		// reps match what cell 0 executed when it ran the kernel itself.
 		kp.pp, kp.err = harness.PrepareContext(ctx, spec.Factory(), kp.ref, spec.Prec, harness.DefaultConfig())
 	})
 	return kp.pp, kp.err
@@ -847,9 +845,9 @@ func recordJobSpan(j *job, records []Record, start, sweepStart time.Time, lane i
 }
 
 // recordPrepareSpan emits the sweep.prepare span of one kernel's shared
-// prepare on the lane that ran it: the kernel, the reference core the
-// validation schedule follows, and the host reps executed (0 when the
-// prepare was rehydrated from the cell cache or failed).
+// prepare on the lane that ran it: the kernel, the core of the reference
+// cell rehydration reads, and the host reps executed (1 for an executed
+// prepare, 0 when it was rehydrated from the cell cache or failed).
 func recordPrepareSpan(kernel string, kp *kernelPrep, start time.Time, lane int) {
 	reps := 0
 	if kp.pp != nil {

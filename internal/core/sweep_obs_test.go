@@ -85,8 +85,8 @@ func TestSweepProgressAndSpans(t *testing.T) {
 			if args["kernel"] != "madgwick" || args["ref_arch"] != mcu.TableIVSet()[0].Name {
 				t.Errorf("prepare args = %v", args)
 			}
-			if n, err := strconv.Atoi(args["host_reps"]); err != nil || n < 1 {
-				t.Errorf("prepare host_reps = %q, want a positive count", args["host_reps"])
+			if n, err := strconv.Atoi(args["host_reps"]); err != nil || n != 1 {
+				t.Errorf("prepare host_reps = %q, want 1 (the profiled rep)", args["host_reps"])
 			}
 		case obs.SpanSweepStatic:
 			if args["kernel"] != "madgwick" || args["queue_wait_us"] == "" {

@@ -21,8 +21,8 @@ var (
 	// ctrRuns counts complete measurement runs.
 	ctrRuns = obs.NewCounter(obs.CounterHarnessRuns)
 	// ctrHostReps counts ROI Solve invocations the host actually
-	// executed — the profiled rep plus the validation reps — as opposed
-	// to the analytically scaled rep count the trace reports.
+	// executed — one profiled rep per executed prepare — as opposed to
+	// the analytically scaled rep count the trace reports.
 	ctrHostReps = obs.NewCounter(obs.CounterHarnessHostReps)
 )
 
@@ -48,43 +48,22 @@ type DatasetProvider interface {
 
 // Config drives one measurement run (the harness rows of Table II).
 type Config struct {
-	Reps        int  // kernel invocations inside the ROI (0 = auto)
-	Warmup      int  // unprofiled invocations before the ROI
-	CacheOn     bool // I/D cache configuration
-	Verbosity   int
+	Reps        int     // kernel invocations inside the ROI (0 = auto)
+	Warmup      int     // unprofiled invocations before the ROI
+	CacheOn     bool    // I/D cache configuration
 	MinROITimeS float64 // auto-rep target so the 100 kHz probe sees the ROI
-	// MaxHostReps caps how many ROI reps the simulation host actually
-	// executes. On hardware every rep runs; here the kernels are
-	// deterministic per Solve, the profiler captures one representative
-	// invocation, and the trace synthesizer scales to the full rep
-	// count analytically — so executing more than a handful of host
-	// reps only burns wall-clock without changing any measurement. The
-	// extra capped reps exist purely so Validate sees a multiply-solved
-	// problem, as it would on the device. 0 means the default
-	// (DefaultMaxHostReps); negative means uncapped, i.e. execute every
-	// rep on the host like real hardware would.
-	MaxHostReps int
-	// MaxAutoReps caps the rep count the MinROITimeS auto-scaler may
-	// choose (Reps <= 0). Very fast kernels on slow modeled cores would
-	// otherwise demand millions of reps to fill the ROI window, which
-	// distorts the modeled energy totals without improving the probe's
-	// view. 0 means the default (DefaultMaxAutoReps); negative means
-	// uncapped. Explicit Reps values are never clamped.
-	MaxAutoReps int
 }
 
-// DefaultMaxHostReps is the default host-side ROI execution cap: the
-// profiled invocation plus two validation reps.
-const DefaultMaxHostReps = 3
-
-// DefaultMaxAutoReps is the default ceiling on auto-scaled reps: enough
-// for the 100 kHz probe to see hundreds of samples of even the fastest
-// kernel, matching the artifact's harness limit.
+// DefaultMaxAutoReps caps auto-scaled reps (Reps <= 0): enough for the
+// 100 kHz probe to see hundreds of samples of even the fastest kernel,
+// matching the artifact's harness limit, without the millions of reps
+// that would distort modeled energy totals. Explicit Reps are never
+// clamped.
 const DefaultMaxAutoReps = 10000
 
 // DefaultConfig mirrors the artifact's benchmark defaults.
 func DefaultConfig() Config {
-	return Config{Reps: 0, Warmup: 1, CacheOn: true, MinROITimeS: 2e-3, MaxHostReps: DefaultMaxHostReps}
+	return Config{Reps: 0, Warmup: 1, CacheOn: true, MinROITimeS: 2e-3}
 }
 
 // GPIO pin assignments, as in the measurement setup: a trigger pin
@@ -125,20 +104,10 @@ type Result struct {
 }
 
 // Run executes the full measurement flow for one problem on one core:
-// setup → warm-up → ROI (profiled reps) → model → trace synthesis →
-// trace analysis → validation.
+// setup → warm-up → ROI (one profiled rep) → validation → model →
+// trace synthesis → trace analysis.
 func Run(p Problem, arch mcu.Arch, prec mcu.Precision, cfg Config) (Result, error) {
-	return RunContext(context.Background(), p, arch, prec, cfg)
-}
-
-// RunContext is Run under a context: the flow checks for cancellation
-// at every phase boundary (after setup, between warm-up and validation
-// Solves, before the profiled ROI) and abandons the run with ctx.Err()
-// wrapped in the returned error. Cancellation is cooperative — a Solve
-// that never returns must be cut off by the sweep-level watchdog
-// (core.SweepOptions.CellTimeout), not by the context.
-func RunContext(ctx context.Context, p Problem, arch mcu.Arch, prec mcu.Precision, cfg Config) (Result, error) {
-	pp, err := PrepareContext(ctx, p, arch, prec, cfg)
+	pp, err := PrepareContext(context.Background(), p, arch, prec, cfg)
 	if err != nil {
 		return Result{Kernel: p.Name(), Arch: arch, Precision: prec, CacheOn: cfg.CacheOn}, err
 	}
@@ -167,12 +136,14 @@ func Prepare(p Problem, refArch mcu.Arch, prec mcu.Precision, cfg Config) (*Prep
 }
 
 // PrepareContext executes the kernel-side phases of a measurement run —
-// setup, warm-up, the profiled ROI invocation, and the validation reps —
-// and returns the arch-independent Prepared half. refArch and cfg shape
-// only the validation-rep schedule (how many extra host Solves run
-// before Validate), which mirrors what a full RunContext on refArch
-// would execute; they leave counts untouched. Cancellation follows the
-// RunContext contract: cooperative checks at every phase boundary.
+// Setup, cfg.Warmup unprofiled Solves, one profiled Solve, and Validate
+// — and returns the arch-independent Prepared half; the trace
+// synthesizer scales that one deterministic Solve to the ROI's reps.
+// refArch and prec are ignored (kept for existing callers). The context
+// is checked at every phase boundary and a cancelled run returns
+// ctx.Err() wrapped. Cancellation is cooperative: a Solve that never
+// returns is cut off by the sweep's watchdog (core.SweepOptions.
+// CellTimeout), not by the context.
 func PrepareContext(ctx context.Context, p Problem, refArch mcu.Arch, prec mcu.Precision, cfg Config) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", p.Name(), err)
@@ -190,25 +161,9 @@ func PrepareContext(ctx context.Context, p Problem, refArch mcu.Arch, prec mcu.P
 		return nil, fmt.Errorf("harness: %s: %w", p.Name(), err)
 	}
 
-	// One profiled invocation determines the op counts and, through the
-	// core model, the per-rep latency used to auto-scale reps.
-	pp := &Prepared{name: p.Name()}
+	pp := &Prepared{name: p.Name(), hostReps: 1}
 	pp.counts = profile.Collect(p.Solve)
-
-	// Execute the remaining reps for validation parity (the profiler
-	// already captured a representative invocation; kernels are
-	// deterministic per Solve). Config.MaxHostReps bounds the host-side
-	// wall-clock cost; see its doc for why that is sound here.
-	model := refArch.Estimate(pp.counts, prec, cfg.CacheOn)
-	extra := hostExtra(cfg, autoReps(cfg, model.LatencyS))
-	for i := 0; i < extra; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", p.Name(), err)
-		}
-		p.Solve()
-	}
-	pp.hostReps = 1 + extra // the profiled rep + validation reps
-	ctrHostReps.Add(uint64(pp.hostReps))
+	ctrHostReps.Inc()
 
 	if err := p.Validate(); err != nil {
 		pp.valid = false
@@ -235,12 +190,12 @@ func RehydratePrepared(name string, counts profile.Counts, valid bool, validE er
 // Counts returns the per-rep operation mix of the profiled Solve.
 func (pp *Prepared) Counts() profile.Counts { return pp.counts }
 
-// HostReps returns the Solve invocations the prepare executed inside
-// ROIs (the profiled rep plus validation reps); 0 for a rehydrated
+// HostReps returns the Solve invocations the prepare executed inside an
+// ROI: 1 (the profiled rep) for an executed prepare, 0 for a rehydrated
 // Prepared, which executed none.
 func (pp *Prepared) HostReps() int { return pp.hostReps }
 
-// Valid returns the validation verdict taken after the validation reps.
+// Valid returns the validation verdict taken after the profiled Solve.
 func (pp *Prepared) Valid() (bool, error) { return pp.valid, pp.validE }
 
 // MeasureOn models the prepared kernel on one core: analytic estimate,
@@ -287,7 +242,7 @@ func (pp *Prepared) MeasureOnBackend(arch mcu.Arch, prec mcu.Precision, cfg Conf
 
 // autoReps resolves the ROI rep count: an explicit cfg.Reps wins,
 // otherwise enough reps to fill MinROITimeS at the modeled latency,
-// clamped by MaxAutoReps.
+// clamped to DefaultMaxAutoReps.
 func autoReps(cfg Config, latencyS float64) int {
 	if cfg.Reps > 0 {
 		return cfg.Reps
@@ -296,27 +251,5 @@ func autoReps(cfg Config, latencyS float64) int {
 	if minT <= 0 {
 		minT = 2e-3
 	}
-	reps := int(minT/latencyS) + 1
-	maxAuto := cfg.MaxAutoReps
-	if maxAuto == 0 {
-		maxAuto = DefaultMaxAutoReps
-	}
-	if maxAuto > 0 && reps > maxAuto {
-		reps = maxAuto
-	}
-	return reps
-}
-
-// hostExtra resolves how many validation Solves beyond the profiled one
-// the host executes for a run of reps repetitions (Config.MaxHostReps).
-func hostExtra(cfg Config, reps int) int {
-	maxHost := cfg.MaxHostReps
-	if maxHost == 0 {
-		maxHost = DefaultMaxHostReps
-	}
-	extra := reps - 1
-	if maxHost > 0 && extra > maxHost-1 {
-		extra = maxHost - 1
-	}
-	return extra
+	return min(int(minT/latencyS)+1, DefaultMaxAutoReps)
 }

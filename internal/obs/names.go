@@ -16,8 +16,8 @@ const (
 	// SpanSweepCell is one (kernel, arch, cache) measurement cell.
 	SpanSweepCell = "sweep.cell"
 	// SpanSweepPrepare is one kernel's shared prepare (problem build,
-	// warm-up, profiled Solve, validation reps), nested in the
-	// sweep.cell span that triggered it.
+	// warm-up, profiled Solve, validation), nested in the sweep.cell
+	// span that triggered it.
 	SpanSweepPrepare = "sweep.prepare"
 )
 
@@ -55,8 +55,9 @@ const (
 	// (harness.Run calls).
 	CounterHarnessRuns = "harness.runs"
 	// CounterHarnessHostReps counts kernel Solve invocations the host
-	// actually executed inside ROIs (profiled + validation reps; the
-	// analytically scaled reps are not executed and not counted).
+	// actually executed inside ROIs: one profiled rep per executed
+	// prepare (the analytically scaled reps are not executed and not
+	// counted).
 	CounterHarnessHostReps = "harness.reps.host"
 	// CounterSweepCellsFailed counts sweep jobs that ended in any error:
 	// plain failures, recovered panics, and watchdog timeouts.

@@ -63,8 +63,14 @@ func RunCS1() (CS1Result, error) {
 				PeakMW:  map[string]float64{},
 				CyclesK: map[string]float64{},
 			}
-			for _, arch := range mcu.TableIVSet() {
-				res, err := harness.Run(p, arch, mcu.PrecF32, harness.DefaultConfig())
+			// Counts are core-independent: prepare once, measure per core.
+			archs := mcu.TableIVSet()
+			pp, err := harness.Prepare(p, archs[0], mcu.PrecF32, harness.DefaultConfig())
+			if err != nil {
+				return out, err
+			}
+			for _, arch := range archs {
+				res, err := pp.MeasureOn(arch, mcu.PrecF32, harness.DefaultConfig())
 				if err != nil {
 					return out, err
 				}

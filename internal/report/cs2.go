@@ -13,27 +13,37 @@ import (
 	"repro/internal/scalar"
 )
 
-// CS2 datasets: the three maneuver profiles of the attitude study.
-func cs2Datasets() map[string][]imu.Record {
-	return map[string][]imu.Record{
-		"bee-hover":     imu.Simulate(imu.HoverTrajectory(0.12, 0.1, 2), 3, 400, imu.DefaultNoise(), 21),
-		"strider-line":  imu.Simulate(imu.StriderLineTrajectory(5, 0.08), 3, 400, imu.DefaultNoise(), 22),
-		"strider-steer": imu.Simulate(imu.StriderSteerTrajectory(5, 0.08, 12), 3, 400, imu.DefaultNoise(), 23),
+// cs2Dataset is one named maneuver profile of the attitude study.
+type cs2Dataset struct {
+	Name string
+	Recs []imu.Record
+}
+
+// cs2Datasets returns the three maneuver profiles in Fig 4's row order.
+func cs2Datasets() []cs2Dataset {
+	return []cs2Dataset{
+		{"bee-hover", cs2BeeHover()},
+		{"strider-line", imu.Simulate(imu.StriderLineTrajectory(5, 0.08), 3, 400, imu.DefaultNoise(), 22)},
+		{"strider-steer", imu.Simulate(imu.StriderSteerTrajectory(5, 0.08, 12), 3, 400, imu.DefaultNoise(), 23)},
 	}
 }
 
-// cs2Filters enumerates the filter/mode combinations of Fig 4.
+// cs2BeeHover is the hover profile, the one Table VII measures.
+func cs2BeeHover() []imu.Record {
+	return imu.Simulate(imu.HoverTrajectory(0.12, 0.1, 2), 3, 400, imu.DefaultNoise(), 21)
+}
+
+// cs2Filter is one filter/mode combination of Table VII and Fig 4.
 type cs2Filter struct {
 	Name string
 	Mode attitude.Mode
 }
 
-func cs2IMUFilters() []cs2Filter {
-	return []cs2Filter{{"mahony", attitude.IMUOnly}, {"madgwick", attitude.IMUOnly}}
-}
-
-func cs2MARGFilters() []cs2Filter {
-	return []cs2Filter{{"mahony", attitude.MARG}, {"madgwick", attitude.MARG}, {"fourati", attitude.MARG}}
+// cs2Filters lists the combinations in Table VII and Fig 4 row order.
+var cs2Filters = []cs2Filter{
+	{"mahony", attitude.IMUOnly}, {"madgwick", attitude.IMUOnly},
+	{"mahony", attitude.MARG}, {"madgwick", attitude.MARG},
+	{"fourati", attitude.MARG},
 }
 
 func newFilter[T scalar.Real[T]](like T, f cs2Filter) attitude.Filter[T] {
@@ -132,14 +142,9 @@ type CS2Result struct {
 // RunCS2Table7 measures the filters in f32 and q7.24 on the M0+, M4,
 // and M33 (per-update metrics).
 func RunCS2Table7() CS2Result {
-	recs := cs2Datasets()["bee-hover"]
+	recs := cs2BeeHover()
 	var out CS2Result
-	combos := []cs2Filter{
-		{"mahony", attitude.IMUOnly}, {"madgwick", attitude.IMUOnly},
-		{"mahony", attitude.MARG}, {"madgwick", attitude.MARG},
-		{"fourati", attitude.MARG},
-	}
-	for _, f := range combos {
+	for _, f := range cs2Filters {
 		for _, format := range []string{"f32", "q7.24"} {
 			var run attitudeRun
 			prec := mcu.PrecF32
@@ -221,19 +226,14 @@ func RunFig4(step int) Fig4Result {
 		step = 2
 	}
 	var out Fig4Result
-	for dsName, recs := range cs2Datasets() {
-		sets := []struct {
-			filters []cs2Filter
-		}{{cs2IMUFilters()}, {cs2MARGFilters()}}
-		for _, set := range sets {
-			for _, f := range set.filters {
-				for frac := 2; frac <= 30; frac += step {
-					run := runAttitude(fixed.New(0, uint8(frac)), f, recs)
-					out.Points = append(out.Points, Fig4Point{
-						Dataset: dsName, Filter: f.Name, Mode: f.Mode.String(),
-						FracBits: frac, Rate: run.FailureRate,
-					})
-				}
+	for _, ds := range cs2Datasets() {
+		for _, f := range cs2Filters {
+			for frac := 2; frac <= 30; frac += step {
+				run := runAttitude(fixed.New(0, uint8(frac)), f, ds.Recs)
+				out.Points = append(out.Points, Fig4Point{
+					Dataset: ds.Name, Filter: f.Name, Mode: f.Mode.String(),
+					FracBits: frac, Rate: run.FailureRate,
+				})
 			}
 		}
 	}

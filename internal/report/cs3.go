@@ -40,8 +40,14 @@ func RunCS3() (CS3Result, error) {
 			EstEnergy:  map[string]float64{},
 			MeasEnergy: map[string]float64{},
 		}
-		for _, arch := range mcu.TableIVSet() {
-			res, err := harness.Run(spec.Factory(), arch, spec.Prec, harness.DefaultConfig())
+		// Counts are core-independent: prepare once, measure per core.
+		archs := mcu.TableIVSet()
+		pp, err := harness.Prepare(spec.Factory(), archs[0], spec.Prec, harness.DefaultConfig())
+		if err != nil {
+			return out, err
+		}
+		for _, arch := range archs {
+			res, err := pp.MeasureOn(arch, spec.Prec, harness.DefaultConfig())
 			if err != nil {
 				return out, err
 			}

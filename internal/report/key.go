@@ -117,7 +117,14 @@ func appendBoard(b []byte, a mcu.Arch) []byte {
 	return append(b, "}\n"...)
 }
 
-// appendHarness appends the harness configuration line.
+// appendHarness appends the harness configuration line. Verbosity,
+// MaxHostReps and MaxAutoReps were Config fields when every existing
+// key was minted; they are written as the fixed text every default
+// Config rendered, in their old positions, so no key moves. The
+// literals are sound because none of the three ever reached an output:
+// nothing read Verbosity, the host validation reps MaxHostReps bounded
+// changed no measured byte, and MaxAutoReps 0 meant the
+// DefaultMaxAutoReps cap that autoReps now always applies.
 func appendHarness(b []byte, cfg harness.Config) []byte {
 	b = append(b, "harness|{Reps:"...)
 	b = strconv.AppendInt(b, int64(cfg.Reps), 10)
@@ -125,14 +132,9 @@ func appendHarness(b []byte, cfg harness.Config) []byte {
 	b = strconv.AppendInt(b, int64(cfg.Warmup), 10)
 	b = append(b, " CacheOn:"...)
 	b = strconv.AppendBool(b, cfg.CacheOn)
-	b = append(b, " Verbosity:"...)
-	b = strconv.AppendInt(b, int64(cfg.Verbosity), 10)
+	b = append(b, " Verbosity:0"...)
 	b = appendField(b, " MinROITimeS:", cfg.MinROITimeS)
-	b = append(b, " MaxHostReps:"...)
-	b = strconv.AppendInt(b, int64(cfg.MaxHostReps), 10)
-	b = append(b, " MaxAutoReps:"...)
-	b = strconv.AppendInt(b, int64(cfg.MaxAutoReps), 10)
-	return append(b, "}\n"...)
+	return append(b, " MaxHostReps:3 MaxAutoReps:0}\n"...)
 }
 
 // appendBackend appends the measurement-backend salt line — only when

@@ -59,7 +59,12 @@ func fmtBoard(a mcu.Arch) string {
 		a.Name, a.Board, a.ISA, a.ClockHz, a.FPU, a.SRAMKB, a.HasCache, a.Source, a.Model)
 }
 
-func fmtHarness(cfg harness.Config) string { return fmt.Sprintf("harness|%+v\n", cfg) }
+// fmtHarness writes Verbosity, MaxHostReps and MaxAutoReps as the fixed
+// text every key was minted with when they were still Config fields.
+func fmtHarness(cfg harness.Config) string {
+	return fmt.Sprintf("harness|{Reps:%d Warmup:%d CacheOn:%v Verbosity:0 MinROITimeS:%v MaxHostReps:3 MaxAutoReps:0}\n",
+		cfg.Reps, cfg.Warmup, cfg.CacheOn, cfg.MinROITimeS)
+}
 
 func fmtBackend(backend string) string {
 	if backend == "" {
@@ -193,8 +198,7 @@ func randomArch(rng *rand.Rand) mcu.Arch {
 func randomConfig(rng *rand.Rand) harness.Config {
 	return harness.Config{
 		Reps: randomInt(rng), Warmup: randomInt(rng), CacheOn: rng.Intn(2) == 0,
-		Verbosity: randomInt(rng), MinROITimeS: randomFloat(rng),
-		MaxHostReps: randomInt(rng), MaxAutoReps: randomInt(rng),
+		MinROITimeS: randomFloat(rng),
 	}
 }
 

@@ -188,6 +188,30 @@ func TestFig4FailureCurves(t *testing.T) {
 	}
 }
 
+// Fig 4 rows come out in the fixed dataset order of the committed
+// report, so two runs render byte-identical output.
+func TestFig4DatasetOrder(t *testing.T) {
+	render := func() ([]string, []byte) {
+		r := report.RunFig4(28) // frac 2 and 30 only
+		var order []string
+		for _, p := range r.Points {
+			if len(order) == 0 || order[len(order)-1] != p.Dataset {
+				order = append(order, p.Dataset)
+			}
+		}
+		var buf bytes.Buffer
+		r.WriteFig4(&buf)
+		return order, buf.Bytes()
+	}
+	order, first := render()
+	if got, want := strings.Join(order, ","), "bee-hover,strider-line,strider-steer"; got != want {
+		t.Errorf("dataset order = %s, want %s", got, want)
+	}
+	if _, second := render(); !bytes.Equal(first, second) {
+		t.Error("two Fig 4 renders differ")
+	}
+}
+
 func TestCS3FLOPGap(t *testing.T) {
 	r, err := report.RunCS3()
 	if err != nil {
